@@ -13,9 +13,7 @@
 ///  (ii)  the poll-interval sensitivity of the buffer-traversal threads;
 ///  (iii) responding after remote-write completions (default) vs right
 ///        after the local apply (unsafe-fast), isolating the price of
-///        completion-based responses;
-///  (iv)  the reliable-broadcast backup slot on vs off, isolating the
-///        cost of agreement on the conflict-free path.
+///        completion-based responses.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -86,21 +84,6 @@ int main(int argc, char **argv) {
         [Late](benchmark::State &St) {
           runtime::HambandConfig Cfg;
           Cfg.RespondAfterCompletion = Late;
-          runConfigured(St, "counter", Cfg);
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-  }
-
-  // (iv) Backup slot on/off.
-  for (bool Backup : {true, false}) {
-    std::string Name = std::string("Ablation/backup_slot/counter/") +
-                       (Backup ? "on" : "off");
-    benchmark::RegisterBenchmark(
-        Name.c_str(),
-        [Backup](benchmark::State &St) {
-          runtime::HambandConfig Cfg;
-          Cfg.UseBackupSlot = Backup;
           runConfigured(St, "counter", Cfg);
         })
         ->Iterations(1)

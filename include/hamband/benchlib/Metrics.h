@@ -68,6 +68,10 @@ struct RunResult {
   /// spirit of Hampa [58].
   double MeanBacklogCalls = 0;
   double MaxBacklogCalls = 0;
+  /// Hash of every replica's applied-counts table at the end of the run
+  /// (unsharded Hamband runtime only; 0 otherwise). averageRuns() folds
+  /// the digests of all repetitions in order.
+  std::uint64_t AppliedDigest = 0;
   /// Merged runtime metrics captured at the end of the run (empty when the
   /// runtime does not report stats or HAMBAND_OBS is off). averageRuns()
   /// merges the snapshots of all repetitions.

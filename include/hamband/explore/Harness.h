@@ -65,7 +65,7 @@ struct RunSpec {
   std::uint64_t WorkSeed = 0;  // Workload generator seed.
   std::uint64_t FaultSeed = 0; // Fault-plan seed.
   sim::FaultSpec Spec;
-  bool Batched = false; // Enable the call-batching layer.
+  bool Batched = false; // Flush up to 6 calls at once (else 1 per flush).
   /// Enable delta-state summary propagation (docs/deltas.md), with the
   /// anti-entropy period shortened so full-image rounds fire within a
   /// fuzz-sized schedule.

@@ -10,14 +10,18 @@
 ///
 /// Request processing ("Processing requests", Section 4):
 ///  1. queries execute locally against Apply(S)(σ);
-///  2. reducible calls fold into the local summary and are remotely
-///     overwritten into every peer's summary slot (reliable broadcast via
-///     the backup slot);
-///  3. irreducible conflict-free calls apply locally and are appended to
-///     the remote F rings (reliable broadcast);
+///  2. reducible calls fold into the local summary (REDUCE);
+///  3. irreducible conflict-free calls apply locally (FREE);
 ///  4. conflicting calls go to the synchronization group's Mu consensus
 ///     instance -- local calls directly when this node leads, otherwise
 ///     through a single-writer mailbox ring to the leader.
+///
+/// Reducible and free calls then enqueue into one propagation path, the
+/// flush (flushBatches): it stages the flush image in the backup slot
+/// (reliable broadcast), overwrites every peer's summary slot or ships
+/// summary frames over the F-rings, and appends the free calls to the
+/// remote F-rings. Unbatched operation is the one-call flush
+/// (BatchingConfig::MaxCalls = 1, the default).
 ///
 /// Two logical poller threads (one CPU lane here) traverse the F and L
 /// buffers and apply calls whose dependency arrays are satisfied by the
@@ -50,20 +54,18 @@ namespace runtime {
 
 /// Reduction-aware batching of the broadcast hot path (docs/batching.md).
 ///
-/// When enabled, reducible calls keep folding into the local summary per
-/// call but the summary-slot writes ship once per flush, and irreducible
-/// conflict-free calls accumulate into one spanning F-ring batch record
-/// per flush (a single doorbell). Conflicting calls never batch; their
-/// arrival flushes eagerly to preserve PropConfSync/PropDep ordering.
+/// Every reducible and free call ships through a flush. Reducible calls
+/// fold into the local summary per call and the summary ships once per
+/// flush; irreducible conflict-free calls accumulate into one spanning
+/// F-ring batch record per flush (a single doorbell). With MaxCalls = 1
+/// (the default) every call is its own flush: the unbatched paper
+/// runtime. Conflicting calls never batch; their arrival flushes eagerly
+/// to preserve PropConfSync/PropDep ordering.
 struct BatchingConfig {
-  /// Master switch; disabled preserves the per-call paths unchanged.
-  bool Enabled = false;
   /// Size trigger: flush as soon as this many calls are pending across
-  /// the free batch and all dirty summary groups.
-  std::uint32_t MaxCalls = 16;
-  /// Byte trigger for the encoded free batch record (0 = derive from the
-  /// free ring's spanning-record capacity and the backup slot size).
-  std::uint32_t MaxBytes = 0;
+  /// the free batch and all dirty summary groups (1 = unbatched). The
+  /// free batch record is also capped in bytes (freeBatchCapBytes).
+  std::uint32_t MaxCalls = 1;
   /// Timeout trigger: pending calls never wait longer than this. It is a
   /// backstop -- the common flush is completion-driven doorbell
   /// coalescing (the next batch ships when the previous flush's writes
@@ -78,8 +80,10 @@ struct BatchingConfig {
 /// version interval it covers, instead of overwriting every peer's
 /// summary slot with the full image. Periodic full-image anti-entropy
 /// (chunked over the same rings) bounds divergence after gaps and keeps
-/// recovery idempotent. Off by default: full images preserve the
-/// classic per-flush summary-slot path unchanged.
+/// recovery idempotent. Receivers buffer at most 64 out-of-order frames
+/// per (group, source); later ones are dropped (counted) and heal via
+/// anti-entropy. Off by default: every flush overwrites the summary
+/// slots with full images.
 struct DeltaConfig {
   /// Master switch.
   bool Enabled = false;
@@ -87,9 +91,6 @@ struct DeltaConfig {
   /// a full image instead of a delta (0 = never; gaps then heal only
   /// through backup-slot recovery).
   std::uint32_t AntiEntropyEvery = 64;
-  /// Cap of buffered out-of-order frames per (group, source); frames
-  /// beyond it are dropped (counted) and heal via anti-entropy.
-  std::uint32_t MaxBufferedFrames = 64;
   /// Adaptive anti-entropy backoff (0 = off): after this many consecutive
   /// full-image ships during which the node observed no delta gap
   /// (node.delta.gap unchanged), the effective AntiEntropyEvery period
@@ -105,8 +106,8 @@ struct HambandConfig {
   RingGeometry ConfGeom{4096, 256};
   RingGeometry MailGeom{4096, 256};
   std::uint32_t SummarySlotBytes = 512;
-  /// Sized so a batched flush image (summaries + free batch record) can
-  /// be staged whole.
+  /// Sized so a flush image (summaries + free batch record) can be staged
+  /// whole.
   std::uint32_t BackupSlotBytes = 4096;
   /// Period of the buffer-traversal loop.
   sim::SimDuration PollInterval = sim::micros(0.5);
@@ -118,8 +119,6 @@ struct HambandConfig {
   /// Figure 11(b).
   sim::SimDuration PermissibilityWait = sim::micros(150);
   HeartbeatDetector::Config Heartbeat;
-  /// Ablation: stage broadcasts in the backup slot (reliable) or not.
-  bool UseBackupSlot = true;
   /// Ablation: complete client calls after remote-write completions
   /// (true, default) or right after the local apply (unsafe-fast).
   bool RespondAfterCompletion = true;
@@ -274,8 +273,8 @@ public:
   std::uint32_t batchPending() const { return BatchedPending; }
 
   /// Forces an immediate flush of all accumulated calls (tests; also the
-  /// eager flush on conflicting-call arrival). No-op when batching is
-  /// off or nothing is pending.
+  /// eager flush on conflicting-call arrival). No-op when nothing is
+  /// pending.
   void flushOutgoing();
 
   // -- Delta propagation (docs/deltas.md) ---------------------------------
@@ -578,7 +577,7 @@ private:
   /// cursor shared by the ring path and backup-slot recovery).
   std::vector<std::uint64_t> FreeSeqNext; // [issuer]
 
-  // Batching state (all dormant unless Cfg.Batch.Enabled).
+  // Batching state: the calls accumulated for the next flush.
   struct BatchedFree {
     std::vector<std::uint8_t> Bytes; // encodeCall output
     SubmitCallback Done;
@@ -603,8 +602,7 @@ private:
   // Delta-propagation state (dormant unless Cfg.Delta.Enabled, except the
   // full-frame receive machinery, which also serves the slot-overflow
   // fallback in classic mode).
-  /// Fold of the local calls of each group since its last shipped frame
-  /// (batched mode; unbatched deltas are the single prepared call).
+  /// Fold of the local calls of each group since its last shipped frame.
   std::vector<std::optional<Call>> PendingDelta; // [group]
   /// Version up to which peers have been shipped this node's summary
   /// (the FromSeq of the next outgoing delta frame).

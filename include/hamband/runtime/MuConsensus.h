@@ -18,7 +18,9 @@
 /// that observes a higher-epoch proposal revokes the old leader's write
 /// permission *before* granting the candidate's, then acks (with its
 /// received-entry count) into its single-writer ack slot on the candidate.
-/// With a majority of acks the candidate equalizes the logs (reading any
+/// Candidates of the same epoch resolve to the lowest id: a node that
+/// adopted a higher-id candidate switches (revoke, grant, ack) when the
+/// lower id's proposal lands. With a majority of acks the candidate equalizes the logs (reading any
 /// missing entries from the most advanced acker -- consumed ring cells
 /// keep their bytes until the writer laps) and resumes as leader.
 /// Therefore at most one node can ever append to a majority of L rings.

@@ -35,16 +35,13 @@ namespace runtime {
 class ReliableBroadcast {
 public:
   /// Message kinds staged in the slot; `Aux` disambiguates the target
-  /// structure (summarization group or unused).
+  /// structure (summarization group or unused). Values 1 and 2 are
+  /// reserved.
   enum class Kind : std::uint8_t {
     None = 0,
-    /// Payload is an F-ring cell payload (encoded WireCall).
-    FreeCall = 1,
-    /// Payload is a summary-slot image; Aux is the summarization group.
-    Summary = 2,
     /// Payload is a flush image (encodeFlushImage): the summary images
-    /// plus the free-call batch record of one batched flush, staged as a
-    /// single unit so the whole flush is recovered atomically.
+    /// plus the free-call batch record of one flush, staged as a single
+    /// unit so the whole flush is recovered atomically.
     FreeBatch = 3,
     /// Payload is a summary-delta frame (encodeSummaryDelta); Aux is the
     /// summarization group. Staged only when the corresponding *full*

@@ -31,10 +31,14 @@ namespace runtime {
 /// Little-endian append-only byte writer.
 class ByteWriter {
 public:
+  void reserve(std::size_t N) { Bytes.reserve(N); }
   std::vector<std::uint8_t> take() { return std::move(Bytes); }
   std::size_t size() const { return Bytes.size(); }
 
   void u8(std::uint8_t V) { Bytes.push_back(V); }
+  void bytes(const std::vector<std::uint8_t> &V) {
+    Bytes.insert(Bytes.end(), V.begin(), V.end());
+  }
   void u16(std::uint16_t V);
   void u32(std::uint32_t V);
   void u64(std::uint64_t V);

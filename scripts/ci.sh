@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus fault-schedule fuzz smokes (baseline, batched
-# twin, delta twin), the bounded coordination-verifier gate (including
-# keyed-lift preservation), the hamband_mc exhaustive small-scope sweep
-# (plus a delta-mode exploration), a TSan flavor (threaded obs mutation,
-# shm ring stress, the shm transport conformance corpus, the shm sharded
-# keyspace corpus, and the shm delta corpus), and lint.
+# twin, delta twin), the benchmark's own tests, the bounded
+# coordination-verifier gate (including keyed-lift preservation), the
+# hamband_mc exhaustive small-scope sweep (plus a delta-mode exploration),
+# a TSan flavor (threaded obs mutation, shm ring stress, the shm
+# transport conformance corpus, the shm sharded keyspace corpus, and the
+# shm delta corpus), and lint.
 #
 # Usage: scripts/ci.sh [build-dir]
 #   HAMBAND_SANITIZE=ON|address|thread  configure with ASan+UBSan or TSan
@@ -23,9 +24,10 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"
 
 "$BUILD/tools/hamband_fuzz" --runs "$FUZZ_RUNS" --seed 42
 
-# Batching smoke: every schedule re-runs against a batched cluster and the
-# crash-free observation-independent runs are diffed state-for-state
-# against the unbatched twin (see docs/batching.md).
+# Batching smoke: every schedule runs at Batch.MaxCalls = 1 (one call per
+# flush) and again at MaxCalls = 6, and the crash-free
+# observation-independent runs are diffed state-for-state between the two
+# batch sizes (see docs/batching.md).
 "$BUILD/tools/hamband_fuzz" --runs "$((FUZZ_RUNS / 2))" --seed 43 --batch
 
 # Delta smoke: the same twin-diff discipline for delta-state summary
@@ -45,6 +47,12 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"
 "$REPO/scripts/bench_regress.sh" --smoke --out "$BUILD/BENCH_smoke.json" \
   "$BUILD"
 "$BUILD/tools/hamband_bench_report" --check "$BUILD/BENCH_smoke.json"
+
+# The repository benchmark's own tests (perfbench/): smoke runs of every
+# BENCHMARK.json workload with and without tracing, same-seed determinism
+# of the simulated workload, and the diverged-replica self-test.
+echo "ci: perfbench self-tests"
+(cd "$REPO" && python3 perfbench/test_perfbench.py)
 
 # Coordination-verifier gate: every registered type's declared spec must
 # be sound at the default bound (a soundness violation is a convergence or

@@ -37,6 +37,8 @@ RunResult hamband::benchlib::averageRuns(const std::vector<RunResult> &Runs) {
     Avg.DurationUs += R.DurationUs;
     Avg.MeanBacklogCalls += R.MeanBacklogCalls;
     Avg.MaxBacklogCalls = std::max(Avg.MaxBacklogCalls, R.MaxBacklogCalls);
+    Avg.AppliedDigest =
+        Avg.AppliedDigest * 1099511628211ull ^ R.AppliedDigest;
     Avg.Completed = Avg.Completed && R.Completed;
     Avg.SteadyThroughputOpsPerUs += R.SteadyThroughputOpsPerUs;
     Avg.DuringThroughputOpsPerUs += R.DuringThroughputOpsPerUs;

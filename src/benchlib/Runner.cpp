@@ -496,6 +496,15 @@ RunResult benchlib::runOnce(const ObjectType &Type,
   if (BacklogSamples)
     R.MeanBacklogCalls = BacklogSum / static_cast<double>(BacklogSamples);
   R.MaxBacklogCalls = BacklogMax;
+  if (Cluster) {
+    std::uint64_t H = 1469598103934665603ull; // FNV-1a over the counts.
+    for (unsigned N = 0; N < Cluster->numNodes(); ++N)
+      for (const std::vector<std::uint64_t> &Row :
+           Cluster->node(N).appliedTable())
+        for (std::uint64_t V : Row)
+          H = (H ^ V) * 1099511628211ull;
+    R.AppliedDigest = H;
+  }
   if (R.DurationUs > 0)
     R.ThroughputOpsPerUs =
         static_cast<double>(State->Completed) / R.DurationUs;

@@ -76,8 +76,7 @@ RunOutcome explore::runSchedule(const RunSpec &Cfg,
   const CoordinationSpec &Spec = T->coordination();
   sim::Simulator Sim;
   HambandConfig HCfg;
-  HCfg.Batch.Enabled = Cfg.Batched;
-  HCfg.Batch.MaxCalls = 6;
+  HCfg.Batch.MaxCalls = Cfg.Batched ? 6 : 1;
   HCfg.Delta.Enabled = Cfg.Deltas;
   // Short anti-entropy period so fuzz-sized schedules exercise both the
   // delta-frame and the full-image rounds.

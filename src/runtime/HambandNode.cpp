@@ -17,6 +17,10 @@ using hamband::semantics::DepMap;
 
 namespace {
 
+/// Cap of buffered out-of-order delta frames per (group, source); frames
+/// beyond it are dropped (counted) and heal via anti-entropy.
+constexpr std::size_t BufferedFrameCap = 64;
+
 /// Appends a (possibly spanning) record to a ring, retrying every
 /// \p RetryAfter while it is full.
 void appendWithRetry(rdma::Transport &T, RingWriter &W,
@@ -93,6 +97,7 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   unsigned Groups = Spec.numSyncGroups();
   unsigned SumGroups = Spec.numSumGroups();
   assert(ConfKeys.size() == Groups && "one region key per sync group");
+  assert(Cfg.Batch.MaxCalls >= 1 && "a flush carries at least one call");
 
   CtrCallQuery = &Stats.counter("node.calls.query");
   CtrCallReduce = &Stats.counter("node.calls.reducible");
@@ -519,10 +524,10 @@ void HambandNode::handleQuery(const Call &C, SubmitCallback Done) {
 
 void HambandNode::handleReduce(Call C, SubmitCallback Done) {
   const rdma::NetworkModel &M = Fabric.model();
-  // Batched calls defer the serialization work to the flush (one
-  // ParseCpu per flush instead of per call).
+  // Unbatched calls (MaxCalls = 1) serialize inside their own CPU task;
+  // batches defer that work to the flush (one ParseCpu per flush).
   sim::SimDuration Cost =
-      Cfg.Batch.Enabled ? M.ApplyCpu : M.ApplyCpu + M.ParseCpu;
+      Cfg.Batch.MaxCalls > 1 ? M.ApplyCpu : M.ApplyCpu + M.ParseCpu;
   Fabric.runOnCpu(
       Self, Cost,
       [this, C = std::move(C), Done = std::move(Done)]() mutable {
@@ -532,7 +537,6 @@ void HambandNode::handleReduce(Call C, SubmitCallback Done) {
           return;
         }
         unsigned G = *Spec.sumGroup(P.Method);
-        unsigned N = Fabric.numNodes();
         Call NewSummary = P;
         bool Folded = false;
         if (OwnSummary[G]) {
@@ -544,9 +548,8 @@ void HambandNode::handleReduce(Call C, SubmitCallback Done) {
         // Shippability gate BEFORE any replicated-state mutation: if the
         // grown image can neither fit the summary slot nor be chunked
         // over the F-rings, folding this call would wedge every future
-        // ship of the group (the old code tripped an assert deep in the
-        // slot encoder instead). Reject with no side effects.
-        if (N > 1 &&
+        // ship of the group. Reject with no side effects.
+        if (Fabric.numNodes() > 1 &&
             !fullImageShippable(NewSummary, groupMethods(G).size())) {
           CtrOversizeReject->add();
           Done(false, 0);
@@ -555,7 +558,7 @@ void HambandNode::handleReduce(Call C, SubmitCallback Done) {
         if (Folded)
           CtrReductions->add();
         OwnSummary[G] = NewSummary;
-        std::uint64_t Seq = ++OwnSummarySeq[G];
+        ++OwnSummarySeq[G];
         Applied[Self][P.Method] += 1;
         ++NumLocalUpdates;
         SummaryCache[G][Self] = NewSummary;
@@ -569,174 +572,30 @@ void HambandNode::handleReduce(Call C, SubmitCallback Done) {
         else
           VisibleDirty = true;
 
-        if (Cfg.Batch.Enabled) {
-          // The call is already folded into OwnSummary[G]; the flush
-          // ships one image covering every fold since the last one.
-          if (activePeerCount() == 0) {
-            Done(true, 0);
-            return;
-          }
-          if (Cfg.Delta.Enabled) {
-            // The per-flush delta folds alongside the full summary.
-            if (PendingDelta[G]) {
-              Call D;
-              bool Ok = Type.applyDelta(*PendingDelta[G], P, D);
-              assert(Ok && "summarization group not closed");
-              (void)Ok;
-              PendingDelta[G] = std::move(D);
-            } else {
-              PendingDelta[G] = P;
-            }
-          }
-          ++SumBatchCalls[G];
-          if (Cfg.RespondAfterCompletion)
-            SumBatchDone[G].push_back(std::move(Done));
-          else
-            Done(true, 0);
-          noteBatchedCall();
-          return;
-        }
-
-        // Ship the summary with the per-method applied counts so peers
-        // advance A(self, u) without a separate write.
-        SummaryImage Img;
-        Img.Seq = Seq;
-        Img.Summary = NewSummary;
-        for (MethodId U : groupMethods(G))
-          Img.AppliedCounts.emplace_back(U, Applied[Self][U]);
-        std::size_t FullBytes = summaryImageBytes(
-            NewSummary.Args.size(), Img.AppliedCounts.size());
-        bool FitsSlot = FullBytes + 13 <= Cfg.SummarySlotBytes;
-
-        if (!Cfg.Delta.Enabled && FitsSlot) {
-          // Classic path: stage the image, overwrite every peer's
-          // summary slot.
-          std::vector<std::uint8_t> Payload = encodeSummary(Img);
-          if (Cfg.UseBackupSlot)
-            Broadcast->stage(ReliableBroadcast::Kind::Summary,
-                             static_cast<std::uint8_t>(G), Payload,
-                             CurrentEpoch);
-          if (activePeerCount() == 0) {
-            if (Cfg.UseBackupSlot)
-              Broadcast->clear();
-            Done(true, 0);
-            return;
-          }
-          std::vector<std::uint8_t> Slot =
-              slotBytes(Payload, Cfg.SummarySlotBytes);
-          auto Remaining = std::make_shared<unsigned>(activePeerCount());
-          auto DoneP = std::make_shared<SubmitCallback>(std::move(Done));
-          bool RespondLate = Cfg.RespondAfterCompletion;
-          if (!RespondLate)
-            (*DoneP)(true, 0);
-          for (rdma::NodeId Peer = 0; Peer < N; ++Peer) {
-            if (Peer == Self || !activeNode(Peer))
-              continue;
-            Fabric.postWrite(
-                Self, Peer, Map.summarySlot(G, Self), Slot, DataKey,
-                [this, Remaining, DoneP, RespondLate](rdma::WcStatus) {
-                  if (--*Remaining != 0)
-                    return;
-                  if (Cfg.UseBackupSlot)
-                    Broadcast->clear();
-                  if (RespondLate)
-                    (*DoneP)(true, 0);
-                },
-                rdma::Transport::LaneClient);
-          }
-          return;
-        }
-
-        // Frame path: delta propagation, or the slot-overflow fallback
-        // in classic mode (docs/deltas.md).
+        // The call is already folded into OwnSummary[G]; the flush ships
+        // one image covering every fold since the last one.
         if (activePeerCount() == 0) {
           Done(true, 0);
           return;
         }
-        bool AntiEntropyDue =
-            Cfg.Delta.Enabled && Cfg.Delta.AntiEntropyEvery > 0 &&
-            DeltaFlushesSinceFull[G] + 1 >= effectiveAntiEntropyEvery(G);
-        bool ShipFull = !Cfg.Delta.Enabled || AntiEntropyDue;
-        if (!Cfg.Delta.Enabled)
-          CtrSlotOverflow->add();
-        std::vector<std::vector<std::uint8_t>> Frames;
-        if (!ShipFull) {
-          // The unbatched delta is the single prepared call, covering
-          // (DeltaShippedSeq, Seq].
-          SummaryImage DImg;
-          DImg.Seq = Seq;
-          DImg.Summary = P;
-          DImg.AppliedCounts = Img.AppliedCounts;
-          SummaryDeltaFrame F;
-          F.Group = static_cast<std::uint8_t>(G);
-          F.Full = 0;
-          F.FromSeq = DeltaShippedSeq[G];
-          F.ToSeq = Seq;
-          F.Epoch = CurrentEpoch;
-          F.Image = encodeSummary(DImg);
-          std::vector<std::uint8_t> Enc = encodeSummaryDelta(F);
-          if (Enc.size() <= Cfg.FreeGeom.maxRecordPayload()) {
-            Frames.push_back(std::move(Enc));
-            CtrDeltaOut->add();
-            ++DeltaFlushesSinceFull[G];
+        if (Cfg.Delta.Enabled) {
+          // The per-flush delta folds alongside the full summary.
+          if (PendingDelta[G]) {
+            Call D;
+            bool Ok = Type.applyDelta(*PendingDelta[G], P, D);
+            assert(Ok && "summarization group not closed");
+            (void)Ok;
+            PendingDelta[G] = std::move(D);
           } else {
-            // A delta too large for one record (giant call arguments):
-            // ship the full image instead, which chunks.
-            ShipFull = true;
+            PendingDelta[G] = P;
           }
         }
-        if (ShipFull) {
-          Frames = encodeFullFrames(G, Img);
-          CtrDeltaFullOut->add();
-          DeltaFlushesSinceFull[G] = 0;
-          noteFullImageShip(G);
-        }
-        DeltaShippedSeq[G] = Seq;
-
-        if (Cfg.UseBackupSlot) {
-          // Crash-atomicity: stage the full image when it fits (recovery
-          // installs it idempotently); degrade to staging the delta frame
-          // when only the delta fits; otherwise skip (counted) -- the gap
-          // a crash then leaves heals through anti-entropy.
-          if (FullBytes + 11 <= Cfg.BackupSlotBytes)
-            Broadcast->stage(ReliableBroadcast::Kind::Summary,
-                             static_cast<std::uint8_t>(G),
-                             encodeSummary(Img), CurrentEpoch);
-          else if (!ShipFull && Frames.size() == 1 &&
-                   Frames[0].size() + 11 <= Cfg.BackupSlotBytes)
-            Broadcast->stage(ReliableBroadcast::Kind::SummaryDelta,
-                             static_cast<std::uint8_t>(G), Frames[0],
-                             CurrentEpoch);
-          else
-            CtrStageSkipped->add();
-        }
-
-        auto DoneP = std::make_shared<SubmitCallback>(std::move(Done));
-        bool RespondLate = Cfg.RespondAfterCompletion;
-        if (!RespondLate)
-          (*DoneP)(true, 0);
-        if (DropDeltasForTest && !ShipFull) {
-          // Test hook: the delta evaporates on the wire (and the backup
-          // slot clears, so recovery cannot resurrect it); every peer now
-          // has a version gap that only anti-entropy heals.
-          if (Cfg.UseBackupSlot)
-            Broadcast->clear();
-          if (RespondLate)
-            (*DoneP)(true, 0);
-          return;
-        }
-        auto Remaining = std::make_shared<unsigned>(
-            static_cast<unsigned>(Frames.size()) * activePeerCount());
-        auto OnOne = [this, Remaining, DoneP, RespondLate]() {
-          if (--*Remaining != 0)
-            return;
-          if (Cfg.UseBackupSlot)
-            Broadcast->clear();
-          if (RespondLate)
-            (*DoneP)(true, 0);
-        };
-        for (const std::vector<std::uint8_t> &FrameBytes : Frames)
-          postFrameToPeers(FrameBytes, OnOne);
+        ++SumBatchCalls[G];
+        if (Cfg.RespondAfterCompletion)
+          SumBatchDone[G].push_back(std::move(Done));
+        else
+          Done(true, 0);
+        noteBatchedCall();
       },
       rdma::Transport::LaneClient);
 }
@@ -765,60 +624,26 @@ void HambandNode::handleFree(Call C, SubmitCallback Done) {
         std::vector<std::uint8_t> Bytes =
             encodeCall(Spec, Fabric.numNodes(), WC);
 
-        if (Cfg.Batch.Enabled) {
-          if (activePeerCount() == 0) {
-            Done(true, 0);
-            return;
-          }
-          // Pre-flush when this call would overflow the batch record
-          // cap (flushBatches also chunks oversized batches defensively,
-          // but flushing here keeps each staged image within the cap).
-          std::size_t Framed = Bytes.size() + 4; // u32 length prefix
-          if (!FreeBatch.empty() &&
-              4 + FreeBatchBytes + Framed > freeBatchCapBytes())
-            flushBatches(FlushCause::Size);
-          BatchedFree B;
-          B.Bytes = std::move(Bytes);
-          if (Cfg.RespondAfterCompletion)
-            B.Done = std::move(Done);
-          else
-            Done(true, 0);
-          FreeBatchBytes += Framed;
-          FreeBatch.push_back(std::move(B));
-          noteBatchedCall();
-          return;
-        }
-
-        if (Cfg.UseBackupSlot)
-          Broadcast->stage(ReliableBroadcast::Kind::FreeCall, 0, Bytes,
-                           CurrentEpoch);
-
-        unsigned N = Fabric.numNodes();
         if (activePeerCount() == 0) {
-          if (Cfg.UseBackupSlot)
-            Broadcast->clear();
           Done(true, 0);
           return;
         }
-        auto Remaining = std::make_shared<unsigned>(activePeerCount());
-        auto DoneP = std::make_shared<SubmitCallback>(std::move(Done));
-        bool RespondLate = Cfg.RespondAfterCompletion;
-        if (!RespondLate)
-          (*DoneP)(true, 0);
-        auto OnOne = [this, Remaining, DoneP,
-                      RespondLate](rdma::WcStatus) {
-          if (--*Remaining != 0)
-            return;
-          if (Cfg.UseBackupSlot)
-            Broadcast->clear();
-          if (RespondLate)
-            (*DoneP)(true, 0);
-        };
-        for (rdma::NodeId Peer = 0; Peer < N; ++Peer) {
-          if (Peer == Self || !activeNode(Peer))
-            continue;
-          appendFreeOrdered(Peer, Bytes, OnOne);
-        }
+        // Pre-flush when this call would overflow the batch record cap
+        // (flushBatches also chunks oversized batches defensively, but
+        // flushing here keeps each staged image within the cap).
+        std::size_t Framed = Bytes.size() + 4; // u32 length prefix
+        if (!FreeBatch.empty() &&
+            4 + FreeBatchBytes + Framed > freeBatchCapBytes())
+          flushBatches(FlushCause::Size);
+        BatchedFree B;
+        B.Bytes = std::move(Bytes);
+        if (Cfg.RespondAfterCompletion)
+          B.Done = std::move(Done);
+        else
+          Done(true, 0);
+        FreeBatchBytes += Framed;
+        FreeBatch.push_back(std::move(B));
+        noteBatchedCall();
       },
       rdma::Transport::LaneClient);
 }
@@ -1395,7 +1220,7 @@ bool HambandNode::handleSummaryFrame(ProcessId Src,
   CtrDeltaGap->add();
   ++GapEvents;
   auto &Buf = BufferedFrames[G][Src];
-  if (Buf.size() >= Cfg.Delta.MaxBufferedFrames) {
+  if (Buf.size() >= BufferedFrameCap) {
     CtrDeltaDropped->add();
     return false;
   }
@@ -1652,11 +1477,8 @@ unsigned HambandNode::applyPendingConf() {
 std::size_t HambandNode::freeBatchCapBytes() const {
   // A wire record must fit one spanning ring reservation, and the staged
   // flush image (which also carries summaries) must fit the backup slot.
-  std::size_t Cap = Cfg.FreeGeom.maxRecordPayload();
-  Cap = std::min(Cap, static_cast<std::size_t>(Cfg.BackupSlotBytes / 2));
-  if (Cfg.Batch.MaxBytes > 0)
-    Cap = std::min(Cap, static_cast<std::size_t>(Cfg.Batch.MaxBytes));
-  return Cap;
+  return std::min(Cfg.FreeGeom.maxRecordPayload(),
+                  static_cast<std::size_t>(Cfg.BackupSlotBytes / 2));
 }
 
 void HambandNode::noteBatchedCall() {
@@ -1700,7 +1522,7 @@ void HambandNode::armFlushTimer() {
 }
 
 void HambandNode::flushOutgoing() {
-  if (!Cfg.Batch.Enabled || BatchedPending == 0)
+  if (BatchedPending == 0)
     return;
   flushBatches(FlushCause::Conf);
 }
@@ -1709,7 +1531,7 @@ void HambandNode::flushBatches(FlushCause Cause) {
   if (BatchedPending == 0)
     return;
   unsigned N = Fabric.numNodes();
-  assert(N > 1 && "batched calls complete inline when N == 1");
+  assert(N > 1 && "calls complete inline when N == 1");
   const rdma::NetworkModel &M = Fabric.model();
 
   switch (Cause) {
@@ -1776,16 +1598,18 @@ void HambandNode::flushBatches(FlushCause Cause) {
     std::vector<std::uint8_t> Payload;
     if (FitsSlot || FullBytes + 11 <= Cfg.BackupSlotBytes)
       Payload = encodeSummary(SImg);
+    if (!Cfg.Delta.Enabled && FitsSlot) {
+      SummarySlots.push_back(slotBytes(Payload, Cfg.SummarySlotBytes));
+      SlotGroups.push_back(G);
+    }
     if (FullBytes + 11 <= Cfg.BackupSlotBytes)
-      Img.Summaries.emplace_back(static_cast<std::uint8_t>(G), Payload);
+      Img.Summaries.emplace_back(static_cast<std::uint8_t>(G),
+                                 std::move(Payload));
     else
       StageOk = false;
 
     if (!Cfg.Delta.Enabled) {
-      if (FitsSlot) {
-        SummarySlots.push_back(slotBytes(Payload, Cfg.SummarySlotBytes));
-        SlotGroups.push_back(G);
-      } else {
+      if (!FitsSlot) {
         CtrSlotOverflow->add();
         for (auto &FB : encodeFullFrames(G, SImg))
           FullFrames.push_back(std::move(FB));
@@ -1876,18 +1700,29 @@ void HambandNode::flushBatches(FlushCause Cause) {
     return;
   }
 
-  if (Cfg.UseBackupSlot) {
-    std::vector<std::uint8_t> Staged = encodeFlushImage(Img);
-    if (StageOk && Staged.size() + 11 <= Cfg.BackupSlotBytes)
-      Broadcast->stage(ReliableBroadcast::Kind::FreeBatch, 0, Staged,
-                       CurrentEpoch);
-    else
-      CtrStageSkipped->add();
-  }
+  // Crash atomicity: stage the flush image when it fits (recovery
+  // installs it idempotently). A one-group flush whose full image
+  // outgrew the backup slot degrades to staging its delta frame;
+  // otherwise the flush goes unstaged (counted) and the gap a crash then
+  // leaves heals through anti-entropy.
+  std::vector<std::uint8_t> Staged = encodeFlushImage(Img);
+  if (StageOk && Staged.size() + 11 <= Cfg.BackupSlotBytes)
+    Broadcast->stage(ReliableBroadcast::Kind::FreeBatch, 0, Staged,
+                     CurrentEpoch);
+  else if (DirtyGroups.size() == 1 && DeltaFrames.size() == 1 &&
+           FullFrames.empty() && Records.empty() &&
+           DeltaFrames[0].size() + 11 <= Cfg.BackupSlotBytes)
+    Broadcast->stage(ReliableBroadcast::Kind::SummaryDelta,
+                     static_cast<std::uint8_t>(DirtyGroups[0]),
+                     DeltaFrames[0], CurrentEpoch);
+  else
+    CtrStageSkipped->add();
 
   ++FlushesInFlight;
-  // One serialization charge per flush (vs one per call unbatched).
-  Fabric.runOnCpu(Self, M.ParseCpu, []() {}, rdma::Transport::LaneClient);
+  // One serialization charge per batch. An unbatched call (MaxCalls = 1)
+  // already paid it inside its own CPU task (handleReduce, handleFree).
+  if (Cfg.Batch.MaxCalls > 1)
+    Fabric.runOnCpu(Self, M.ParseCpu, []() {}, rdma::Transport::LaneClient);
 
   auto Remaining = std::make_shared<unsigned>(Writes);
   auto DonesP = std::make_shared<std::vector<SubmitCallback>>(
@@ -1895,8 +1730,7 @@ void HambandNode::flushBatches(FlushCause Cause) {
   auto Finish = [this, Remaining, DonesP](rdma::WcStatus) {
     if (--*Remaining != 0)
       return;
-    if (Cfg.UseBackupSlot)
-      Broadcast->clear();
+    Broadcast->clear();
     --FlushesInFlight;
     for (SubmitCallback &D : *DonesP)
       D(true, 0);
@@ -1937,8 +1771,6 @@ void HambandNode::flushBatches(FlushCause Cause) {
 void HambandNode::onPeerSuspected(rdma::NodeId Peer) {
   for (auto &Cons : Consensus)
     Cons->onPeerSuspected(Peer);
-  if (!Cfg.UseBackupSlot)
-    return;
   Broadcast->fetch(Peer, [this, Peer](ReliableBroadcast::BackupMessage Msg) {
     if (Msg.TheKind != ReliableBroadcast::Kind::None &&
         Msg.Epoch != CurrentEpoch) {
@@ -1950,19 +1782,6 @@ void HambandNode::onPeerSuspected(rdma::NodeId Peer) {
     switch (Msg.TheKind) {
     case ReliableBroadcast::Kind::None:
       return;
-    case ReliableBroadcast::Kind::Summary: {
-      SummaryImage Img;
-      if (!decodeSummary(Msg.Payload.data(), Msg.Payload.size(), Img))
-        return;
-      unsigned G = Msg.Aux;
-      if (G < SummaryCache.size() &&
-          Img.Seq > SummarySeqSeen[G][Peer]) {
-        installSummary(G, Peer, Img);
-        ++NumRecovered;
-        CtrRecovered->add();
-      }
-      return;
-    }
     case ReliableBroadcast::Kind::SummaryDelta: {
       // A delta frame staged because the full image outgrew the backup
       // slot: feed it through the regular gap-checked receive rules (a
@@ -1976,26 +1795,9 @@ void HambandNode::onPeerSuspected(rdma::NodeId Peer) {
       }
       return;
     }
-    case ReliableBroadcast::Kind::FreeCall: {
-      WireCall WC;
-      if (!decodeCall(Spec, Fabric.numNodes(), Msg.Payload.data(),
-                      Msg.Payload.size(), WC))
-        return;
-      // Deliver only if it is exactly the next broadcast we have not
-      // received; a smaller sequence is a duplicate (agreement is
-      // preserved), a larger one means earlier entries are still in our
-      // ring and the cursor will catch up through the normal poll path.
-      if (WC.BcastSeq == FreeSeqNext[Peer]) {
-        FreeSeqNext[Peer] = WC.BcastSeq + 1;
-        FreePending[Peer].push_back(std::move(WC));
-        ++NumRecovered;
-        CtrRecovered->add();
-      }
-      return;
-    }
     case ReliableBroadcast::Kind::FreeBatch: {
-      // A batched flush staged as one image: its summary images and its
-      // free-call batch recover together or not at all.
+      // A flush staged as one image: its summary images and its free
+      // calls recover together or not at all.
       FlushImage Img;
       if (!decodeFlushImage(Msg.Payload.data(), Msg.Payload.size(), Img))
         return;

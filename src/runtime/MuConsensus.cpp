@@ -219,26 +219,35 @@ void MuConsensus::campaign() {
 void MuConsensus::poll() {
   const rdma::MemoryRegion &Mem = Fabric.memory(Self);
 
-  // 1) Observe proposals: adopt the highest epoch above ours.
+  // 1) Observe proposals: adopt the highest epoch above ours. Candidates
+  // of one epoch resolve to the lowest id, also when this node already
+  // adopted a higher-id candidate of its own epoch before the lower id's
+  // proposal landed; otherwise two candidates could each adopt
+  // themselves and wait forever for the other's ack. Only a leader that
+  // itself campaigned for this epoch yields so: a leader installed by a
+  // membership transition (adoptLeadership) has no proposal here.
   rdma::NodeId BestCand = Leader;
   std::uint64_t BestEpoch = Epoch;
+  bool LeaderCampaigned =
+      Epoch > 0 && Mem.readU64(Map.proposalSlot(Group, Leader)) == Epoch;
   for (rdma::NodeId Cand = 0; Cand < Fabric.numNodes(); ++Cand) {
     if (!isActive(Cand))
       continue; // A removed node's stale proposal must not depose anyone.
     std::uint64_t E = Mem.readU64(Map.proposalSlot(Group, Cand));
-    if (E > BestEpoch || (E == BestEpoch && E > Epoch && Cand < BestCand)) {
+    if (E > BestEpoch || (E == BestEpoch && Cand < BestCand &&
+                          (E > Epoch || LeaderCampaigned))) {
       BestEpoch = E;
       BestCand = Cand;
     }
   }
-  if (BestEpoch > Epoch) {
+  if (BestEpoch > Epoch || BestCand != Leader) {
     rdma::NodeId Old = Leader;
     Epoch = BestEpoch;
     Leader = BestCand;
     if (CtrViewChange)
       CtrViewChange->add();
-    if (Campaigning && CampaignEpoch < Epoch)
-      Campaigning = false; // Lost the race to a higher epoch.
+    if (Campaigning && (CampaignEpoch < Epoch || Leader != Self))
+      Campaigning = false; // Lost the race to a higher epoch or lower id.
     // Revoke the deposed leader's permission *before* granting the new
     // one; this is the Mu invariant that prevents two leaders.
     if (Old != Leader)

@@ -272,17 +272,19 @@ bool runtime::decodeSummaryDelta(const std::uint8_t *Data, std::size_t Len,
 
 std::vector<std::uint8_t> runtime::encodeFlushImage(const FlushImage &Img) {
   assert(Img.Summaries.size() <= 0xFF && "too many summary groups");
+  std::size_t Size = 1 + 4 + Img.FreeRecord.size();
+  for (const auto &[Group, Bytes] : Img.Summaries)
+    Size += 5 + Bytes.size();
   ByteWriter W;
+  W.reserve(Size);
   W.u8(static_cast<std::uint8_t>(Img.Summaries.size()));
   for (const auto &[Group, Bytes] : Img.Summaries) {
     W.u8(Group);
     W.u32(static_cast<std::uint32_t>(Bytes.size()));
-    for (std::uint8_t B : Bytes)
-      W.u8(B);
+    W.bytes(Bytes);
   }
   W.u32(static_cast<std::uint32_t>(Img.FreeRecord.size()));
-  for (std::uint8_t B : Img.FreeRecord)
-    W.u8(B);
+  W.bytes(Img.FreeRecord);
   return W.take();
 }
 

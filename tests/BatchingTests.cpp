@@ -136,7 +136,6 @@ TEST_P(BatchingEquivalence, MatchesUnbatchedAtEveryQuiescentPoint) {
     std::uint64_t Seed = typeSeed(GetParam()) ^ (0xba7c4ull * (S + 1));
     sim::Rng Knobs(Seed);
     HambandConfig BCfg;
-    BCfg.Batch.Enabled = true;
     BCfg.Batch.MaxCalls =
         static_cast<std::uint32_t>(Knobs.uniformInt(2, 16));
     BCfg.Batch.FlushInterval = sim::micros(Knobs.uniformInt(1, 4));
@@ -226,7 +225,6 @@ FaultRunResult runBatchedUnderFaults(const ObjectType &T, unsigned Nodes,
                                      const sim::FaultTrace *Replay) {
   const CoordinationSpec &CSpec = T.coordination();
   HambandConfig Cfg;
-  Cfg.Batch.Enabled = true;
   Cfg.Batch.MaxCalls = 6;
   sim::Simulator Sim;
   HambandCluster C(Sim, Nodes, T, {}, Cfg);
@@ -335,7 +333,7 @@ TEST(BatchingCrashRecovery, FreeBatchImageRecoversAllCallsAfterCrash) {
   auto T = makeType("gset-buffered");
   MethodId Add = T->methodId("add");
   HambandConfig Cfg;
-  Cfg.Batch.Enabled = true;
+  Cfg.Batch.MaxCalls = 16;
   HambandCluster C(Sim, 3, *T, {}, Cfg);
   C.start();
 
@@ -370,7 +368,7 @@ TEST(BatchingCrashRecovery, SummaryImageInFlushRecoversReducedCalls) {
   auto T = makeType("counter");
   MethodId Add = T->methodId("add");
   HambandConfig Cfg;
-  Cfg.Batch.Enabled = true;
+  Cfg.Batch.MaxCalls = 16;
   HambandCluster C(Sim, 3, *T, {}, Cfg);
   C.start();
 
@@ -400,7 +398,6 @@ TEST(BatchingFlushTriggers, PipeAndSizeTriggersFireAndAccountAllCalls) {
   auto T = makeType("counter");
   MethodId Add = T->methodId("add");
   HambandConfig Cfg;
-  Cfg.Batch.Enabled = true;
   Cfg.Batch.MaxCalls = 4;
   HambandCluster C(Sim, 3, *T, {}, Cfg);
   C.start();
@@ -438,7 +435,7 @@ TEST(BatchingFlushTriggers, ConflictingCallFlushesPendingBatch) {
   MethodId Deposit = T->methodId("deposit");
   MethodId Withdraw = T->methodId("withdraw");
   HambandConfig Cfg;
-  Cfg.Batch.Enabled = true;
+  Cfg.Batch.MaxCalls = 16;
   HambandCluster C(Sim, 3, *T, {}, Cfg);
   C.start();
 
@@ -473,7 +470,7 @@ TEST(BatchingFlushTriggers, TimeoutBackstopFlushesStragglers) {
   auto T = makeType("counter");
   MethodId Add = T->methodId("add");
   HambandConfig Cfg;
-  Cfg.Batch.Enabled = true;
+  Cfg.Batch.MaxCalls = 16;
   Cfg.Batch.FlushInterval = sim::micros(1);
   HambandCluster C(Sim, 3, *T, {}, Cfg);
   C.start();

@@ -176,6 +176,42 @@ TEST_F(ConsensusTest, SuspicionElectsNewLeaderAndRevokesOld) {
   EXPECT_EQ(NodesVec[3]->Entries.at(0), entry(9));
 }
 
+TEST_F(ConsensusTest, SimultaneousEqualEpochCandidatesConvergeOnLowestId) {
+  // Nodes 1 and 2 both suspect the leader and campaign for epoch 1 at
+  // once. Each polls before the other's proposal lands, so each first
+  // adopts itself. The higher id must yield to the lower id's proposal
+  // of the same epoch and ack it; otherwise each candidate waits forever
+  // for the other's ack and no entry commits again.
+  for (unsigned I = 1; I < N; ++I)
+    NodesVec[I]->Suspected.insert(0);
+  NodesVec[2]->Cons->onPeerSuspected(0);
+  NodesVec[2]->poll();
+  NodesVec[1]->Cons->onPeerSuspected(0);
+  NodesVec[1]->poll();
+  ASSERT_EQ(NodesVec[2]->Cons->currentLeader(), 2u);
+  ASSERT_EQ(NodesVec[1]->Cons->currentLeader(), 1u);
+
+  run(300);
+  EXPECT_TRUE(NodesVec[1]->Cons->isLeader());
+  EXPECT_FALSE(NodesVec[2]->Cons->isLeader());
+  for (unsigned I = 0; I < N; ++I)
+    EXPECT_EQ(NodesVec[I]->Cons->currentLeader(), 1u) << "node " << I;
+  // The loser's permission moved to the winner on every live node.
+  for (unsigned I = 1; I < N; ++I) {
+    EXPECT_FALSE(Fab.hasWritePermission(I, 2, Key)) << "node " << I;
+    EXPECT_TRUE(Fab.hasWritePermission(I, 1, Key)) << "node " << I;
+  }
+  int Committed = 0;
+  ASSERT_TRUE(NodesVec[1]->Cons->leaderAppend(entry(4), [&](bool Ok) {
+    EXPECT_TRUE(Ok);
+    ++Committed;
+  }));
+  run(100);
+  EXPECT_EQ(Committed, 1);
+  EXPECT_EQ(NodesVec[2]->Entries.at(0), entry(4));
+  EXPECT_EQ(NodesVec[3]->Entries.at(0), entry(4));
+}
+
 TEST_F(ConsensusTest, DeposedLeaderAppendsFail) {
   for (unsigned I = 1; I < N; ++I)
     NodesVec[I]->Suspected.insert(0);

@@ -36,7 +36,6 @@ struct IssuedCall {
 /// runtime coalesces them into flush batches on the wire.
 HambandConfig batchedConfig() {
   HambandConfig Cfg;
-  Cfg.Batch.Enabled = true;
   Cfg.Batch.MaxCalls = 6;
   return Cfg;
 }

@@ -170,7 +170,6 @@ TEST_P(DeltaEquivalence, MatchesClassicAtEveryQuiescentPoint) {
     DCfg.Delta.AntiEntropyEvery =
         static_cast<std::uint32_t>(Knobs.uniformInt(2, 8));
     HambandConfig BCfg = DCfg;
-    BCfg.Batch.Enabled = true;
     BCfg.Batch.MaxCalls =
         static_cast<std::uint32_t>(Knobs.uniformInt(2, 16));
     BCfg.Batch.FlushInterval = sim::micros(Knobs.uniformInt(1, 4));
@@ -273,7 +272,6 @@ FaultRunResult runDeltaUnderFaults(const ObjectType &T, unsigned Nodes,
                                    const sim::FaultTrace *Replay) {
   const CoordinationSpec &CSpec = T.coordination();
   HambandConfig Cfg = deltaConfig(3);
-  Cfg.Batch.Enabled = true;
   Cfg.Batch.MaxCalls = 6;
   sim::Simulator Sim;
   HambandCluster C(Sim, Nodes, T, {}, Cfg);
@@ -501,6 +499,44 @@ TEST(DeltaCrashRecovery, CrashMidAntiEntropyRecoversUntorn) {
   EXPECT_TRUE(C.node(1).visibleState().equals(C.node(2).visibleState()));
 }
 
+TEST(DeltaCrashRecovery, OversizedImageStagesDeltaFrame) {
+  // A seeded 1000-element gset image (~8 KB) outgrows the 4 KB backup
+  // slot, so the one-group flush of the next add stages its delta frame
+  // instead (the SummaryDelta tier). The source crashes at that stage,
+  // before posting any write; peers recover the delta from the slot
+  // through the gap-checked receive rules.
+  sim::Simulator Sim;
+  auto T = makeType("gset");
+  MethodId Add = T->methodId("add");
+  HambandCluster C(Sim, 3, *T, {}, deltaConfig(/*AntiEntropyEvery=*/64));
+  C.start();
+  C.seedReducibleState(0, 0, bigGSetSummary(*T, 1000), 1000);
+
+  unsigned Stages = 0;
+  C.node(0).broadcast().setOnStage([&] {
+    if (++Stages == 1)
+      C.crashNode(0);
+  });
+  C.submit(0, Call(Add, {5000}, 0, 1), [](bool, Value) {});
+
+  ASSERT_TRUE(runUntil(Sim, [&] {
+    return C.node(1).applied(0, Add) == 1001 &&
+           C.node(2).applied(0, Add) == 1001;
+  }));
+  EXPECT_EQ(Stages, 1u);
+  EXPECT_EQ(C.node(0).statsSnapshot().counter("node.delta.stage_skipped"),
+            0u);
+  MethodId Contains = T->methodId("contains");
+  for (ProcessId P = 1; P < 3; ++P) {
+    EXPECT_EQ(
+        T->query(C.node(P).visibleState(), Call(Contains, {5000}, P, 0)), 1)
+        << "node " << P;
+    EXPECT_EQ(C.node(P).summarySeqSeen(0, 0), 1001u) << "node " << P;
+    EXPECT_EQ(C.node(P).recoveredBroadcasts(), 1u) << "node " << P;
+  }
+  EXPECT_TRUE(C.node(1).visibleState().equals(C.node(2).visibleState()));
+}
+
 //===----------------------------------------------------------------------===//
 // Gap healing: dropped deltas buffer, anti-entropy repairs
 //===----------------------------------------------------------------------===//
@@ -610,7 +646,6 @@ TEST(SummarySlotOverflow, BatchedOverflowFallsBackToChunkedFrames) {
   auto T = makeType("gset");
   MethodId Add = T->methodId("add");
   HambandConfig Cfg;
-  Cfg.Batch.Enabled = true;
   Cfg.Batch.MaxCalls = 8;
   HambandCluster C(Sim, 3, *T, {}, Cfg);
   C.start();
@@ -941,7 +976,6 @@ TEST_P(DeltaConflictFreeConformance, DeltaRuntimeMatchesSemanticsExactly) {
 TEST_P(DeltaConflictFreeConformance,
        BatchedDeltaRuntimeMatchesSemanticsExactly) {
   HambandConfig Cfg = deltaConfig(3);
-  Cfg.Batch.Enabled = true;
   Cfg.Batch.MaxCalls = 6;
   deltaConformConflictFree(std::get<0>(GetParam()), std::get<1>(GetParam()),
                            Cfg, 4);
@@ -960,7 +994,6 @@ class DeltaConflictingConformance
 
 TEST_P(DeltaConflictingConformance, WorldConvergesWithInvariantIntact) {
   HambandConfig Cfg = deltaConfig(3);
-  Cfg.Batch.Enabled = true;
   Cfg.Batch.MaxCalls = 6;
   deltaConformConflicting(std::get<0>(GetParam()), std::get<1>(GetParam()),
                           Cfg, 4);

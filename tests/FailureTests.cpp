@@ -55,9 +55,11 @@ TEST(BackupRecovery, PeerDeliversPendingBroadcastOfSuspect) {
   WC.TheCall = Call(Counter::Add, {41}, /*Issuer=*/0, /*Req=*/77);
   WC.BcastSeq = 0; // First broadcast node 1 expects from node 0.
   // Counter::Add is reducible; ship it as a buffered call through the
-  // FreeCall recovery path by using the irreducible encoding directly.
-  std::vector<std::uint8_t> Bytes = encodeCall(T.coordination(), 3, WC);
-  Staging.stage(ReliableBroadcast::Kind::FreeCall, 0, Bytes);
+  // flush image's free-call recovery path by using the irreducible
+  // encoding directly.
+  FlushImage Img;
+  Img.FreeRecord = encodeCallBatch({encodeCall(T.coordination(), 3, WC)});
+  Staging.stage(ReliableBroadcast::Kind::FreeBatch, 0, encodeFlushImage(Img));
 
   C.node(0).suspendHeartbeat();
   ASSERT_TRUE(runUntil(Sim, [&] {
@@ -93,8 +95,9 @@ TEST(BackupRecovery, DuplicateBackupIgnored) {
   WireCall WC;
   WC.TheCall = Call(0, {7, 100}, 0, 1);
   WC.BcastSeq = 0; // Already consumed by node 1.
-  Staging.stage(ReliableBroadcast::Kind::FreeCall, 0,
-                encodeCall(T->coordination(), 3, WC));
+  FlushImage Img;
+  Img.FreeRecord = encodeCallBatch({encodeCall(T->coordination(), 3, WC)});
+  Staging.stage(ReliableBroadcast::Kind::FreeBatch, 0, encodeFlushImage(Img));
   C.node(0).suspendHeartbeat();
   Sim.run(Sim.now() + sim::millis(3));
   EXPECT_EQ(C.node(1).applied(0, 0), Before);
@@ -241,14 +244,17 @@ TEST(BackupRecovery, AgreementAfterMidBroadcastCrash) {
   const MemoryMap &Map = C.memoryMap();
   rdma::Fabric &Fab = C.fabric();
 
-  // Hand-play node 0's FREE step: stage the backup...
+  // Hand-play node 0's one-call flush of a FREE step: stage the flush
+  // image...
   WireCall WC;
   WC.TheCall = Call(/*addTag*/ 0, {7, 100}, 0, 1);
   WC.BcastSeq = 0;
   std::vector<std::uint8_t> Bytes = encodeCall(T->coordination(), 3, WC);
   ReliableBroadcast Staging(Fab, 0, Map.backupSlot(),
                             C.config().BackupSlotBytes);
-  Staging.stage(ReliableBroadcast::Kind::FreeCall, 0, Bytes);
+  FlushImage Img;
+  Img.FreeRecord = encodeCallBatch({Bytes});
+  Staging.stage(ReliableBroadcast::Kind::FreeBatch, 0, encodeFlushImage(Img));
   // ...write the ring cell on node 1 only...
   RingWriter PartialWriter(Fab, 0, 1, Map.freeRingData(0),
                            Map.freeRingFeedback(1), Map.freeGeom());

@@ -405,16 +405,16 @@ TEST(BroadcastTest, StageFetchClear) {
   rdma::Fabric Fab(Sim, 2, rdma::NetworkModel(), 1u << 20);
   ReliableBroadcast B0(Fab, 0, 512, 256);
   ReliableBroadcast B1(Fab, 1, 512, 256);
-  B0.stage(ReliableBroadcast::Kind::FreeCall, 3, {1, 2, 3});
+  B0.stage(ReliableBroadcast::Kind::FreeBatch, 3, {1, 2, 3});
   ReliableBroadcast::BackupMessage Got;
   B1.fetch(0, [&](ReliableBroadcast::BackupMessage M) { Got = M; });
   Sim.run();
-  EXPECT_EQ(Got.TheKind, ReliableBroadcast::Kind::FreeCall);
+  EXPECT_EQ(Got.TheKind, ReliableBroadcast::Kind::FreeBatch);
   EXPECT_EQ(Got.Aux, 3);
   EXPECT_EQ(Got.Payload, (std::vector<std::uint8_t>{1, 2, 3}));
   B0.clear();
   Got = ReliableBroadcast::BackupMessage();
-  Got.TheKind = ReliableBroadcast::Kind::Summary;
+  Got.TheKind = ReliableBroadcast::Kind::SummaryDelta;
   B1.fetch(0, [&](ReliableBroadcast::BackupMessage M) { Got = M; });
   Sim.run();
   EXPECT_EQ(Got.TheKind, ReliableBroadcast::Kind::None);

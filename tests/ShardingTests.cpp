@@ -379,7 +379,6 @@ std::string shardedParamName(
 
 HambandConfig batchedConfig() {
   HambandConfig Cfg;
-  Cfg.Batch.Enabled = true;
   Cfg.Batch.MaxCalls = 6;
   return Cfg;
 }

@@ -377,7 +377,6 @@ std::vector<IssuedCall> makeCallSequence(const ObjectType &T,
 
 HambandConfig batchedConfig() {
   HambandConfig Cfg;
-  Cfg.Batch.Enabled = true;
   Cfg.Batch.MaxCalls = 6;
   return Cfg;
 }

@@ -166,7 +166,7 @@ PointReport runFigPoint(const std::string &TypeName, unsigned Nodes,
   RO.Kind = RuntimeKind::Hamband;
   RO.NumNodes = Nodes;
   RO.Repetitions = Opt.Reps;
-  RO.Cfg.Batch.Enabled = Batched;
+  RO.Cfg.Batch.MaxCalls = Batched ? 16 : 1;
   RO.Transport = Transport;
 
   PointReport P;

@@ -31,12 +31,13 @@
 //   hamband_fuzz --seed 42 --only 17 --dump t.ftrace
 //   hamband_fuzz --replay-trace t.ftrace         # re-execute a dumped run
 //
-// With --batch every schedule also runs against a *batched* cluster
-// (reduction-aware call batching on the broadcast hot path, see
-// docs/batching.md): the twin run is subjected to the same checks and its
-// own bit-for-bit replay, and for crash-free schedules over
-// observation-independent types the batched and unbatched final states
-// are diffed replica by replica -- batching must be invisible.
+// With --batch every schedule also runs against a *batched* twin: the
+// baseline cluster flushes every call on its own (Batch.MaxCalls = 1),
+// the twin accumulates up to 6 calls per flush (reduction-aware call
+// batching, see docs/batching.md). The twin run is subjected to the same
+// checks and its own bit-for-bit replay, and for crash-free schedules
+// over observation-independent types the two final states are diffed
+// replica by replica -- the batch size must be invisible.
 //
 // --deltas does the same for delta-state summary propagation (bounded
 // SummaryDelta frames plus anti-entropy full images, see docs/deltas.md):
