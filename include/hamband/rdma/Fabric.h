@@ -102,11 +102,25 @@ public:
   void runOnCpu(NodeId Node, sim::SimDuration Cost, std::function<void()> Fn,
                 unsigned Lane = LaneClient) override;
 
+  /// The same CpuTask event runOnCpu posts, with an empty closure.
+  void chargeCpu(NodeId Node, sim::SimDuration Cost,
+                 unsigned Lane = LaneClient) override {
+    runOnCpu(Node, Cost, []() {}, Lane);
+  }
+
   /// A per-node timer is just a simulator event: it fires even on a
   /// crashed node, exactly as raw Sim.schedule() always has.
   void runAfter(NodeId Node, sim::SimDuration Delay,
                 std::function<void()> Fn) override {
     Sim.schedule(Delay, {sim::EventKind::Timer, Node}, std::move(Fn));
+  }
+
+  /// Simulated pollers are timed by the cost model, not woken by writes:
+  /// exactly runAfter, so simulated timing does not depend on which
+  /// timers wait for a peer's write.
+  void runAfterOrWrite(NodeId Node, sim::SimDuration Delay,
+                       std::function<void()> Fn) override {
+    runAfter(Node, Delay, std::move(Fn));
   }
 
   /// The single simulator thread IS every node's execution context, so a

@@ -15,12 +15,22 @@
 /// the sim/shm feature matrix.
 ///
 /// Execution model per node: one worker thread owning a FIFO task queue
-/// and a timer heap. runOnCpu/callOn/two-sided delivery/completions are
-/// tasks (dropped once the node crashes); runAfter deadlines fire even on
-/// a crashed node, matching raw simulator timers. Lane numbers and CPU
-/// costs are accepted and ignored: a node's three lanes collapse onto its
-/// single thread, which over-serializes relative to the simulator but
-/// never reorders, so protocol behavior is preserved.
+/// and two timer heaps. runOnCpu/callOn/two-sided delivery/completions are
+/// tasks (dropped once the node crashes); timer deadlines fire even on a
+/// crashed node, matching raw simulator timers. Lane numbers and CPU
+/// costs are accepted and ignored (chargeCpu is a no-op): a node's three
+/// lanes collapse onto its single thread, which over-serializes relative
+/// to the simulator but never reorders, so protocol behavior is preserved.
+///
+/// Write-woken timers (runAfterOrWrite) sit in their own heap. Every node
+/// has a doorbell that postWrite rings after a peer's permitted write has
+/// landed; the worker, between tasks, moves all write-woken timers into
+/// the task queue when it finds the bell rung. The worker sleeps on its
+/// condition variable only when it has nothing to run, and producers
+/// notify only a parked worker. A doorbell never takes the node's mutex
+/// unless the worker is parked; the handshake (bell store, then a
+/// seq_cst read of Parked; Parked set under the mutex, then a re-read of
+/// the bell before waiting) guarantees that a parked worker is woken.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -81,8 +91,14 @@ public:
   void runOnCpu(NodeId Node, sim::SimDuration Cost, std::function<void()> Fn,
                 unsigned Lane = LaneClient) override;
 
+  /// Ignores costs, like runOnCpu: nothing to do.
+  void chargeCpu(NodeId, sim::SimDuration, unsigned = LaneClient) override {}
+
   void runAfter(NodeId Node, sim::SimDuration Delay,
                 std::function<void()> Fn) override;
+
+  void runAfterOrWrite(NodeId Node, sim::SimDuration Delay,
+                       std::function<void()> Fn) override;
 
   void callOn(NodeId Node, std::function<void()> Fn) override;
 
@@ -136,13 +152,24 @@ private:
     std::condition_variable Cv;
     std::deque<Task> Queue;
     std::multimap<std::uint64_t, Task> Timers; // deadline ns -> task
+    /// runAfterOrWrite timers: due at their deadline or at the next
+    /// doorbell, whichever comes first.
+    std::multimap<std::uint64_t, Task> WakeTimers;
     RecvHandler OnRecv;                        // guarded by Mu
+    /// Rung (set) by postWrite after a peer's write landed here; cleared
+    /// by the worker when it acts on it.
+    std::atomic<bool> Bell{false};
+    /// True while the worker waits on Cv. Written under Mu.
+    std::atomic<bool> Parked{false};
     std::atomic<bool> Alive{true};
     std::thread Worker;
   };
 
   void workerLoop(ShmNode &N);
   void enqueue(NodeId Node, std::function<void()> Fn, bool NeedsAlive);
+  void addTimer(ShmNode &N, std::multimap<std::uint64_t, Task> &Heap,
+                sim::SimDuration Delay, std::function<void()> Fn);
+  void ringDoorbell(ShmNode &N);
 
   NetworkModel Model;
   std::chrono::steady_clock::time_point Epoch;

@@ -29,8 +29,13 @@
 ///    stable).
 ///  - runOnCpu / two-sided delivery / completions: execute in the target
 ///    node's serial execution context and are dropped once the node has
-///    crashed. runAfter timers keep firing on a crashed node (matching
-///    raw simulator timers); their closures must re-check aliveness.
+///    crashed. chargeCpu occupies a lane like runOnCpu with no closure.
+///  - Timers: runAfter fires after its delay, never earlier.
+///    runAfterOrWrite fires after its delay at the latest, and may fire
+///    earlier once a peer's permitted one-sided write has landed in the
+///    node's memory (the simulator always waits out the delay). Both keep
+///    firing on a crashed node (matching raw simulator timers); their
+///    closures must re-check aliveness.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -170,12 +175,29 @@ public:
                         std::function<void()> Fn,
                         unsigned Lane = LaneClient) = 0;
 
+  /// Charges \p Cost of (virtual) CPU time to \p Node's \p Lane with no
+  /// work attached: later runOnCpu work on the lane starts after it. For
+  /// costs whose work already ran (parsing, sequencing). A no-op on
+  /// backends that do not model CPU cost.
+  virtual void chargeCpu(NodeId Node, sim::SimDuration Cost,
+                         unsigned Lane = LaneClient) = 0;
+
   /// Fires \p Fn on \p Node's timer after \p Delay. Like a raw simulator
   /// timer this keeps firing on a crashed node; the closure must re-check
   /// aliveness if it matters (verbs posted from a crashed node are
   /// dropped anyway).
   virtual void runAfter(NodeId Node, sim::SimDuration Delay,
                         std::function<void()> Fn) = 0;
+
+  /// Like runAfter, but the timer may fire before \p Delay once a peer's
+  /// permitted one-sided write has landed in \p Node's memory: for
+  /// timers that wait for a peer's write (ring polling, ring-full
+  /// retries). A node's write to its own memory and a write the
+  /// permission check rejected do not bring it forward; \p Delay is the
+  /// backstop. The closure still finds the data only by reading its own
+  /// memory.
+  virtual void runAfterOrWrite(NodeId Node, sim::SimDuration Delay,
+                               std::function<void()> Fn) = 0;
 
   /// Invokes \p Fn in \p Node's execution context with no simulated cost:
   /// immediately inline on the simulator (whose driver thread IS every

@@ -109,7 +109,9 @@ struct HambandConfig {
   /// Sized so a flush image (summaries + free batch record) can be staged
   /// whole.
   std::uint32_t BackupSlotBytes = 4096;
-  /// Period of the buffer-traversal loop.
+  /// Period of the buffer-traversal loop. On shm (floored at 50 µs by
+  /// tunedFor) it is only the idle backstop: a peer's write wakes the
+  /// poller as soon as it lands.
   sim::SimDuration PollInterval = sim::micros(0.5);
   /// Origin-side retry timeout for redirected conflicting calls.
   sim::SimDuration ConfRetryTimeout = sim::micros(400);

@@ -138,10 +138,15 @@ fi
 # TSan flavor, in a separate build tree (TSan and ASan cannot mix):
 #  - the observability registry's threaded-mutation test;
 #  - the shm ring stress suite (real writer/reader threads hammering one
-#    ring through wraps, pads, spans and a mid-stream crash);
+#    ring through wraps, pads, spans and a mid-stream crash, and a
+#    stream driven by write-woken timers, which exercises the doorbell
+#    handshake: a poster rings the bell then reads Parked, a parking
+#    worker sets Parked then re-reads the bell, so no wakeup is lost);
 #  - the shm half of the transport conformance suite -- the full
 #    lockstep-equivalence corpus, batched and unbatched, with every node
-#    on its own OS thread. The sim half runs in the main ctest pass
+#    on its own OS thread, and the write-woken timer contract (a peer's
+#    permitted write rings; plain timers, denied and local writes do
+#    not). The sim half runs in the main ctest pass
 #    above, under ASan+UBSan when HAMBAND_SANITIZE is set.
 #  - the shm half of the sharded keyspace suite -- the cross-shard
 #    equivalence corpus over every registered type plus the sim-only

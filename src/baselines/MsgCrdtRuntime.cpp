@@ -188,8 +188,7 @@ void MsgCrdtRuntime::applyPending(rdma::NodeId Node) {
     }
   }
   if (AppliedN)
-    Fab->runOnCpu(Node, AppliedN * M.ApplyCpu, []() {},
-                  rdma::Fabric::LanePoller);
+    Fab->chargeCpu(Node, AppliedN * M.ApplyCpu, rdma::Fabric::LanePoller);
 }
 
 std::uint64_t MsgCrdtRuntime::replicationBacklog() const {

@@ -6,7 +6,9 @@
 
 #include "hamband/rdma/ShmTransport.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 using namespace hamband;
 using namespace hamband::rdma;
@@ -16,6 +18,16 @@ namespace {
 std::uint64_t permKey(NodeId Target, NodeId Writer, RegionKey Key) {
   return (static_cast<std::uint64_t>(Target) << 48) |
          (static_cast<std::uint64_t>(Writer) << 32) | Key;
+}
+
+/// Moves every timer due by \p Until from \p Heap to the back of \p Queue,
+/// in deadline order.
+template <typename HeapT, typename QueueT>
+void promoteDue(HeapT &Heap, std::uint64_t Until, QueueT &Queue) {
+  while (!Heap.empty() && Heap.begin()->first <= Until) {
+    Queue.push_back(std::move(Heap.begin()->second));
+    Heap.erase(Heap.begin());
+  }
 }
 
 } // namespace
@@ -56,12 +68,14 @@ void ShmTransport::workerLoop(ShmNode &N) {
     // Promote due timers into the task queue. Timers fire even on a
     // crashed node (their Task is marked NeedsAlive=false), matching raw
     // simulator events; the closures re-check whatever aliveness they
-    // care about.
+    // care about. A rung doorbell makes every write-woken timer due; the
+    // acquire exchange orders the ringing peer's landed bytes before
+    // whatever runs next.
     std::uint64_t NowNs = now();
-    while (!N.Timers.empty() && N.Timers.begin()->first <= NowNs) {
-      N.Queue.push_back(std::move(N.Timers.begin()->second));
-      N.Timers.erase(N.Timers.begin());
-    }
+    bool Rung = N.Bell.load(std::memory_order_relaxed) &&
+                N.Bell.exchange(false, std::memory_order_acquire);
+    promoteDue(N.Timers, NowNs, N.Queue);
+    promoteDue(N.WakeTimers, Rung ? UINT64_MAX : NowNs, N.Queue);
     if (!N.Queue.empty()) {
       Task T = std::move(N.Queue.front());
       N.Queue.pop_front();
@@ -78,11 +92,26 @@ void ShmTransport::workerLoop(ShmNode &N) {
       L.lock();
       continue;
     }
-    if (N.Timers.empty())
+    // Park. Parked is stored before the bell is re-read, and a ringing
+    // peer stores the bell before it reads Parked (all seq_cst), so at
+    // least one side sees the other: either this re-read finds the bell,
+    // or the peer finds Parked and notifies under Mu, which it cannot
+    // take before this thread is waiting.
+    N.Parked.store(true, std::memory_order_seq_cst);
+    if (N.Bell.load(std::memory_order_seq_cst)) {
+      N.Parked.store(false, std::memory_order_relaxed);
+      continue;
+    }
+    std::uint64_t Deadline = UINT64_MAX;
+    if (!N.Timers.empty())
+      Deadline = N.Timers.begin()->first;
+    if (!N.WakeTimers.empty())
+      Deadline = std::min(Deadline, N.WakeTimers.begin()->first);
+    if (Deadline == UINT64_MAX)
       N.Cv.wait(L);
     else
-      N.Cv.wait_until(
-          L, Epoch + std::chrono::nanoseconds(N.Timers.begin()->first));
+      N.Cv.wait_until(L, Epoch + std::chrono::nanoseconds(Deadline));
+    N.Parked.store(false, std::memory_order_relaxed);
   }
 }
 
@@ -90,11 +119,39 @@ void ShmTransport::enqueue(NodeId Node, std::function<void()> Fn,
                            bool NeedsAlive) {
   assert(Node < Nodes.size());
   ShmNode &N = *Nodes[Node];
+  bool Wake;
   {
     std::lock_guard<std::mutex> G(N.Mu);
     N.Queue.push_back(Task{std::move(Fn), NeedsAlive});
+    // A worker that is not parked checks the queue before it parks.
+    Wake = N.Parked.load(std::memory_order_relaxed);
   }
-  N.Cv.notify_one();
+  if (Wake)
+    N.Cv.notify_one();
+}
+
+void ShmTransport::addTimer(ShmNode &N,
+                            std::multimap<std::uint64_t, Task> &Heap,
+                            sim::SimDuration Delay,
+                            std::function<void()> Fn) {
+  std::uint64_t Deadline = now() + Delay;
+  bool Wake;
+  {
+    std::lock_guard<std::mutex> G(N.Mu);
+    Heap.emplace(Deadline, Task{std::move(Fn), /*NeedsAlive=*/false});
+    // A parked worker must recompute its wait deadline.
+    Wake = N.Parked.load(std::memory_order_relaxed);
+  }
+  if (Wake)
+    N.Cv.notify_one();
+}
+
+void ShmTransport::ringDoorbell(ShmNode &N) {
+  N.Bell.store(true, std::memory_order_seq_cst);
+  if (N.Parked.load(std::memory_order_seq_cst)) {
+    std::lock_guard<std::mutex> G(N.Mu);
+    N.Cv.notify_one();
+  }
 }
 
 void ShmTransport::postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
@@ -119,6 +176,10 @@ void ShmTransport::postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
     // bytes in increasing address order with release semantics, so a
     // record's trailing canary publishes everything before it.
     Nodes[Dst]->Mem.write(DstOff, Data.data(), Data.size());
+    // The bytes have landed: bring the destination's write-woken timers
+    // forward. A node's write to its own memory wakes nobody.
+    if (Src != Dst)
+      ringDoorbell(*Nodes[Dst]);
   }
   if (OnComplete)
     enqueue(Src, [OnComplete = std::move(OnComplete), St]() {
@@ -198,12 +259,14 @@ void ShmTransport::runAfter(NodeId Node, sim::SimDuration Delay,
                             std::function<void()> Fn) {
   assert(Node < Nodes.size());
   ShmNode &N = *Nodes[Node];
-  std::uint64_t Deadline = now() + Delay;
-  {
-    std::lock_guard<std::mutex> G(N.Mu);
-    N.Timers.emplace(Deadline, Task{std::move(Fn), /*NeedsAlive=*/false});
-  }
-  N.Cv.notify_one();
+  addTimer(N, N.Timers, Delay, std::move(Fn));
+}
+
+void ShmTransport::runAfterOrWrite(NodeId Node, sim::SimDuration Delay,
+                                   std::function<void()> Fn) {
+  assert(Node < Nodes.size());
+  ShmNode &N = *Nodes[Node];
+  addTimer(N, N.WakeTimers, Delay, std::move(Fn));
 }
 
 void ShmTransport::callOn(NodeId Node, std::function<void()> Fn) {
@@ -276,6 +339,7 @@ void ShmTransport::shutdown() {
   for (auto &N : Nodes) {
     N->Queue.clear();
     N->Timers.clear();
+    N->WakeTimers.clear();
     N->OnRecv = nullptr;
   }
   Joined = true;

@@ -22,7 +22,8 @@ namespace {
 constexpr std::size_t BufferedFrameCap = 64;
 
 /// Appends a (possibly spanning) record to a ring, retrying every
-/// \p RetryAfter while it is full.
+/// \p RetryAfter while it is full, or sooner once the reader's head
+/// feedback write lands.
 void appendWithRetry(rdma::Transport &T, RingWriter &W,
                      std::vector<std::uint8_t> Bytes,
                      sim::SimDuration RetryAfter,
@@ -38,9 +39,9 @@ void appendWithRetry(rdma::Transport &T, RingWriter &W,
             Weak]() {
     if (!W.appendRecord(Bytes, OnComplete))
       if (auto R = Weak.lock())
-        T.runAfter(W.writer(), RetryAfter, [R]() { (*R)(); });
+        T.runAfterOrWrite(W.writer(), RetryAfter, [R]() { (*R)(); });
   };
-  T.runAfter(W.writer(), RetryAfter, [Retry]() { (*Retry)(); });
+  T.runAfterOrWrite(W.writer(), RetryAfter, [Retry]() { (*Retry)(); });
 }
 
 /// Pads a summary image into a full slot write: u32 len | payload | ...
@@ -797,8 +798,8 @@ void HambandNode::leaderProcessConf(unsigned G, ProcessId Origin,
   ConfSeen[G].insert(ReqId);
   LeaderSpeculative[G].push_back(Prepared);
   // Sequencing an entry occupies the leader beyond the raw verb posts.
-  Fabric.runOnCpu(Self, Fabric.model().ConsensusEntryCpu, []() {},
-                  rdma::Transport::LaneClient);
+  Fabric.chargeCpu(Self, Fabric.model().ConsensusEntryCpu,
+                   rdma::Transport::LaneClient);
 }
 
 void HambandNode::retryLeaderQueue(unsigned G) {
@@ -897,7 +898,9 @@ void HambandNode::checkConfTimeouts() {
 // -- Poller -----------------------------------------------------------------
 
 void HambandNode::schedulePoll() {
-  Fabric.runAfter(Self, Cfg.PollInterval, [this]() {
+  // Every PollInterval, or as soon as a peer's write lands where the
+  // backend can tell (shm).
+  Fabric.runAfterOrWrite(Self, Cfg.PollInterval, [this]() {
     Fabric.runOnCpu(
         Self, PollBaseCost, [this]() { pollOnce(); },
         rdma::Transport::LanePoller);
@@ -925,7 +928,7 @@ void HambandNode::pollOnce() {
   sim::SimDuration Extra =
       Parsed * M.ParseCpu + AppliedN * M.ApplyCpu;
   if (Extra > 0)
-    Fabric.runOnCpu(Self, Extra, []() {}, rdma::Transport::LanePoller);
+    Fabric.chargeCpu(Self, Extra, rdma::Transport::LanePoller);
   schedulePoll();
 }
 
@@ -1123,10 +1126,11 @@ void HambandNode::drainFreeOutbound(rdma::NodeId Peer) {
     Q.pop_front();
   if (Q.empty() || FreeOutboundArmed[Peer])
     return;
-  // Ring full mid-stream: hold the queue and retry head-first. The retry
-  // runs on this node's timer so the writer stays single-threaded.
+  // Ring full mid-stream: hold the queue and retry head-first once the
+  // reader's head feedback lands (or after PollInterval). The retry runs
+  // on this node's timer so the writer stays single-threaded.
   FreeOutboundArmed[Peer] = 1;
-  Fabric.runAfter(Self, Cfg.PollInterval, [this, Peer]() {
+  Fabric.runAfterOrWrite(Self, Cfg.PollInterval, [this, Peer]() {
     FreeOutboundArmed[Peer] = 0;
     drainFreeOutbound(Peer);
   });
@@ -1722,7 +1726,7 @@ void HambandNode::flushBatches(FlushCause Cause) {
   // One serialization charge per batch. An unbatched call (MaxCalls = 1)
   // already paid it inside its own CPU task (handleReduce, handleFree).
   if (Cfg.Batch.MaxCalls > 1)
-    Fabric.runOnCpu(Self, M.ParseCpu, []() {}, rdma::Transport::LaneClient);
+    Fabric.chargeCpu(Self, M.ParseCpu, rdma::Transport::LaneClient);
 
   auto Remaining = std::make_shared<unsigned>(Writes);
   auto DonesP = std::make_shared<std::vector<SubmitCallback>>(

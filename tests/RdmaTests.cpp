@@ -204,6 +204,20 @@ TEST_F(FabricTest, CpuLanesRunInParallel) {
   EXPECT_EQ(DoneB, sim::micros(1));
 }
 
+TEST_F(FabricTest, ChargeCpuOccupiesOnlyItsLane) {
+  // A cost-only charge delays later work on its lane exactly as an
+  // empty runOnCpu would, and leaves the other lanes free.
+  sim::SimTime DoneSame = 0, DoneOther = 0;
+  Fab.chargeCpu(0, sim::micros(3), Fabric::LanePoller);
+  Fab.runOnCpu(0, sim::micros(1), [&] { DoneSame = Sim.now(); },
+               Fabric::LanePoller);
+  Fab.runOnCpu(0, sim::micros(1), [&] { DoneOther = Sim.now(); },
+               Fabric::LaneClient);
+  Sim.run();
+  EXPECT_EQ(DoneSame, sim::micros(4));
+  EXPECT_EQ(DoneOther, sim::micros(1));
+}
+
 TEST_F(FabricTest, DiagnosticCountersAdvance) {
   EXPECT_EQ(Fab.totalWritesPosted(), 0u);
   Fab.postWrite(0, 1, 0, bytes({1, 2}));

@@ -12,6 +12,11 @@
 // acquire/release discipline of the concurrent MemoryRegion and the
 // canary/header-reread protocol of RingReader::readRecordAt.
 //
+// WriteWokenReaderKeepsUpAcrossLaps drives both ends from write-woken
+// timers on their node threads instead, so it also exercises the shm
+// doorbell handshake (a peer's write rings the destination's bell; a
+// parked worker is woken without a lost wakeup).
+//
 // The torn-write tests below craft partial span images directly in the
 // reader's memory -- exactly what a writer crash mid-span leaves behind
 // under the transport contract (bytes land in increasing address order,
@@ -26,6 +31,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <thread>
 
 using namespace hamband;
@@ -112,6 +118,79 @@ TEST_F(ShmRingStress, InOrderExactDeliveryAcrossManyLaps) {
   EXPECT_EQ(Mismatches, 0u) << "torn or out-of-order records delivered";
   // Quiescent ring: nothing phantom left behind.
   EXPECT_FALSE(R.peek(Got));
+}
+
+TEST_F(ShmRingStress, WriteWokenReaderKeepsUpAcrossLaps) {
+  // Both ends run on their node threads as write-woken timers with a 1 s
+  // backstop, as the runtime's poller and ring-full retries do: the
+  // reader's traversal wakes on the writer's record writes, and the
+  // writer's ring-full wait wakes on the reader's head feedback. The
+  // stream never needs the backstop, so a round that fires at it marks a
+  // lost wakeup, and hundreds of laps must finish far below laps x 1 s.
+  const std::uint64_t NumRecords = 2000;
+  const sim::SimDuration Backstop = sim::millis(1000);
+  RingWriter W(T, /*Writer=*/0, /*Reader=*/1, DataOff, FeedbackOff, Geom);
+  RingReader R(T, /*Reader=*/1, /*Writer=*/0, DataOff, FeedbackOff, Geom);
+
+  std::atomic<std::uint64_t> Received{0};
+  std::atomic<std::uint64_t> Mismatches{0};
+  std::atomic<unsigned> BackstopFires{0};
+  std::uint64_t FullWaits = 0; // Writer thread only.
+  std::uint64_t Sent = 0;      // Writer thread only.
+  sim::SimTime ReaderArmedAt = 0;
+  sim::SimTime WriterArmedAt = 0;
+  auto Arm = [&](NodeId Node, sim::SimTime &ArmedAt,
+                 std::function<void()> &Round) {
+    ArmedAt = T.now();
+    T.runAfterOrWrite(Node, Backstop, Round);
+  };
+  auto CheckWoken = [&](sim::SimTime ArmedAt) {
+    if (T.now() - ArmedAt >= Backstop)
+      ++BackstopFires;
+  };
+  std::function<void()> ReadRound;
+  std::function<void()> WriteRound;
+  ReadRound = [&]() {
+    CheckWoken(ReaderArmedAt);
+    std::vector<std::uint8_t> Got;
+    std::uint64_t N = Received.load();
+    for (; R.peek(Got); ++N) {
+      if (Got != payloadFor(N, Geom))
+        ++Mismatches;
+      R.consume();
+    }
+    Received = N;
+    if (N < NumRecords)
+      Arm(1, ReaderArmedAt, ReadRound);
+  };
+  WriteRound = [&]() {
+    CheckWoken(WriterArmedAt);
+    while (Sent < NumRecords && W.appendRecord(payloadFor(Sent, Geom)))
+      ++Sent;
+    if (Sent == NumRecords)
+      return;
+    ++FullWaits; // Ring full: wait for the reader's head feedback.
+    Arm(0, WriterArmedAt, WriteRound);
+  };
+
+  const auto Bound = std::chrono::seconds(20);
+  auto Start = std::chrono::steady_clock::now();
+  Arm(1, ReaderArmedAt, ReadRound);
+  WriterArmedAt = T.now();
+  T.callOn(0, WriteRound);
+  while (Received.load() < NumRecords &&
+         std::chrono::steady_clock::now() - Start < Bound)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  T.shutdown(); // The rounds capture this frame.
+
+  std::uint64_t Laps = W.tail() / Geom.NumCells;
+  EXPECT_EQ(Received.load(), NumRecords)
+      << "stalled after " << Laps << " laps, " << FullWaits
+      << " ring-full waits";
+  EXPECT_EQ(Mismatches.load(), 0u) << "torn or out-of-order records";
+  EXPECT_EQ(BackstopFires.load(), 0u) << "lost wakeups";
+  EXPECT_GE(Laps, 200u);
+  EXPECT_GE(FullWaits, Laps / 2) << "the stream never waited on feedback";
 }
 
 TEST_F(ShmRingStress, TornSpanWithoutCanaryIsNeverDelivered) {

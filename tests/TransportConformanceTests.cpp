@@ -276,6 +276,96 @@ TEST_P(TransportConformance, RunAfterFiresOnBothBackends) {
   EXPECT_TRUE(Fired);
 }
 
+/// Waits up to \p Limit of wall clock for \p Flag (shm backend).
+bool waitFor(const std::atomic<bool> &Flag, std::chrono::milliseconds Limit) {
+  auto Deadline = std::chrono::steady_clock::now() + Limit;
+  while (!Flag && std::chrono::steady_clock::now() < Deadline)
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  return Flag;
+}
+
+/// Long enough that a timer firing on shm within the test's waits was
+/// brought forward, never due.
+constexpr sim::SimDuration LongTimer = sim::millis(30000);
+
+TEST_P(TransportConformance, WriteWokenTimerFiresOnPeerWrite) {
+  // On shm a peer's write brings the timer forward; the simulator times
+  // pollers by its cost model, so there the timer waits out its delay.
+  std::atomic<bool> Fired{false};
+  std::atomic<sim::SimTime> FiredAt{0};
+  sim::SimTime ArmedAt = T->now();
+  T->runAfterOrWrite(1, LongTimer, [&] {
+    FiredAt = T->now();
+    Fired = true;
+  });
+  T->postWrite(0, 1, 64, bytes({1}));
+  if (Sim) {
+    Sim->run();
+    EXPECT_TRUE(Fired);
+    EXPECT_EQ(FiredAt, ArmedAt + LongTimer);
+  } else {
+    EXPECT_TRUE(waitFor(Fired, std::chrono::milliseconds(1000)));
+    EXPECT_LT(FiredAt - ArmedAt, sim::millis(1000));
+  }
+  EXPECT_EQ(T->memory(1).readU8(64), 1);
+}
+
+TEST_P(TransportConformance, PlainTimerIgnoresPeerWrites) {
+  // Timeouts keep their meaning: only runAfterOrWrite timers are brought
+  // forward. The write-woken twin shows the writes did ring.
+  std::atomic<bool> PlainFired{false};
+  std::atomic<bool> WokenFired{false};
+  std::atomic<sim::SimTime> PlainAt{0};
+  sim::SimTime ArmedAt = T->now();
+  T->runAfter(1, LongTimer, [&] {
+    PlainAt = T->now();
+    PlainFired = true;
+  });
+  T->runAfterOrWrite(1, LongTimer, [&] { WokenFired = true; });
+  T->postWrite(0, 1, 64, bytes({1}));
+  T->postWrite(2, 1, 72, bytes({2}));
+  if (Sim) {
+    Sim->run();
+    EXPECT_TRUE(PlainFired);
+    EXPECT_EQ(PlainAt, ArmedAt + LongTimer);
+  } else {
+    EXPECT_TRUE(waitFor(WokenFired, std::chrono::milliseconds(1000)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_FALSE(PlainFired);
+  }
+}
+
+TEST_P(TransportConformance, DeniedOrLocalWriteDoesNotWake) {
+  // A write the permission check rejected landed nothing, and a node's
+  // write to its own memory needs no wake-up: neither rings.
+  RegionKey Key = T->createRegionKey();
+  T->setWritePermission(1, 0, Key, false);
+  std::atomic<bool> Fired{false};
+  std::atomic<sim::SimTime> FiredAt{0};
+  std::atomic<WcStatus> Denied{WcStatus::Success};
+  sim::SimTime ArmedAt = T->now();
+  T->runAfterOrWrite(1, LongTimer, [&] {
+    FiredAt = T->now();
+    Fired = true;
+  });
+  T->postWrite(0, 1, 300, bytes({5}), Key, [&](WcStatus St) { Denied = St; });
+  T->postWrite(1, 1, 308, bytes({6}));
+  if (Sim) {
+    Sim->run();
+    EXPECT_EQ(FiredAt, ArmedAt + LongTimer);
+  } else {
+    settle();
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_FALSE(Fired);
+    // A permitted peer write still wakes it.
+    T->postWrite(2, 1, 316, bytes({7}));
+    EXPECT_TRUE(waitFor(Fired, std::chrono::milliseconds(1000)));
+  }
+  EXPECT_EQ(Denied, WcStatus::AccessError);
+  EXPECT_EQ(T->memory(1).readU8(300), 0);
+  EXPECT_EQ(T->memory(1).readU8(308), 6);
+}
+
 TEST_P(TransportConformance, NowAdvancesMonotonically) {
   sim::SimTime T0 = T->now();
   std::atomic<bool> Fired{false};
