@@ -17,10 +17,20 @@
 /// Execution model per node: one worker thread owning a FIFO task queue
 /// and two timer heaps. runOnCpu/callOn/two-sided delivery/completions are
 /// tasks (dropped once the node crashes); timer deadlines fire even on a
-/// crashed node, matching raw simulator timers. Lane numbers and CPU
-/// costs are accepted and ignored (chargeCpu is a no-op): a node's three
-/// lanes collapse onto its single thread, which over-serializes relative
-/// to the simulator but never reorders, so protocol behavior is preserved.
+/// crashed node, matching raw simulator timers. A callOn made from the
+/// target node's own worker runs inline, as on the simulator. Lane
+/// numbers and CPU costs are accepted and ignored (chargeCpu is a no-op):
+/// a node's three lanes collapse onto its single thread, which
+/// over-serializes relative to the simulator but never reorders, so
+/// protocol behavior is preserved.
+///
+/// The per-task path touches only the node's own state: its mutex and
+/// queue, and its own cache line of verb totals. pauseWorld() visits each
+/// node under that node's mutex, marks it paused (its worker then starts
+/// no task) and waits until the task it is running, if any, has ended;
+/// taking each node's mutex orders everything the node's tasks did before
+/// the caller's inspection, and resumeWorld() orders the caller's writes
+/// before the next task.
 ///
 /// Write-woken timers (runAfterOrWrite) sit in their own heap. Every node
 /// has a doorbell that postWrite rings after a peer's permitted write has
@@ -46,7 +56,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <thread>
 
 namespace hamband {
@@ -100,6 +109,8 @@ public:
   void runAfterOrWrite(NodeId Node, sim::SimDuration Delay,
                        std::function<void()> Fn) override;
 
+  /// Inline (if \p Node is alive) when called from \p Node's own worker;
+  /// enqueued otherwise.
   void callOn(NodeId Node, std::function<void()> Fn) override;
 
   RegionKey createRegionKey() override;
@@ -115,25 +126,29 @@ public:
   void setFaultHook(FabricFaultHook *H) override;
   FabricFaultHook *faultHook() const override { return nullptr; }
 
+  /// Sums of the per-source-node totals.
   std::uint64_t totalWritesPosted() const override {
-    return WritesPosted.load(std::memory_order_relaxed);
+    return sumPosted(&VerbTotals::Writes);
   }
   std::uint64_t totalReadsPosted() const override {
-    return ReadsPosted.load(std::memory_order_relaxed);
+    return sumPosted(&VerbTotals::Reads);
   }
   std::uint64_t totalSendsPosted() const override {
-    return SendsPosted.load(std::memory_order_relaxed);
+    return sumPosted(&VerbTotals::Sends);
   }
   std::uint64_t totalBytesWritten() const override {
-    return BytesWritten.load(std::memory_order_relaxed);
+    return sumPosted(&VerbTotals::Bytes);
   }
 
   void setObs(obs::Registry &R) override;
 
+  /// Marks every node paused and waits out each node's running task.
+  /// Must not be called from a node's worker.
   void pauseWorld() override;
   void resumeWorld() override;
   void shutdown() override;
 
+  /// Reads each node's queue and running flag under its own mutex.
   bool idle() const override;
 
 private:
@@ -142,6 +157,15 @@ private:
     /// Dropped unexecuted once the node crashed (runOnCpu, deliveries,
     /// completions). Timer tasks are exempt, like raw simulator events.
     bool NeedsAlive = true;
+  };
+
+  /// Verbs posted by one source node, alone on its cache line: only the
+  /// threads posting from that node touch it.
+  struct alignas(64) VerbTotals {
+    std::atomic<std::uint64_t> Writes{0};
+    std::atomic<std::uint64_t> Reads{0};
+    std::atomic<std::uint64_t> Sends{0};
+    std::atomic<std::uint64_t> Bytes{0};
   };
 
   struct ShmNode {
@@ -156,6 +180,14 @@ private:
     /// doorbell, whichever comes first.
     std::multimap<std::uint64_t, Task> WakeTimers;
     RecvHandler OnRecv;                        // guarded by Mu
+    /// Pause handshake, all guarded by Mu. The worker starts no task
+    /// while Paused; Running is set while it executes one; a pauser
+    /// waiting for the running task to end sets PauserWaiting and sleeps
+    /// on PauseCv, which the worker notifies only then.
+    bool Paused = false;
+    bool Running = false;
+    bool PauserWaiting = false;
+    std::condition_variable PauseCv;
     /// Rung (set) by postWrite after a peer's write landed here; cleared
     /// by the worker when it acts on it.
     std::atomic<bool> Bell{false};
@@ -163,6 +195,7 @@ private:
     std::atomic<bool> Parked{false};
     std::atomic<bool> Alive{true};
     std::thread Worker;
+    VerbTotals Posted;
   };
 
   void workerLoop(ShmNode &N);
@@ -170,28 +203,25 @@ private:
   void addTimer(ShmNode &N, std::multimap<std::uint64_t, Task> &Heap,
                 sim::SimDuration Delay, std::function<void()> Fn);
   void ringDoorbell(ShmNode &N);
+  std::uint64_t
+  sumPosted(std::atomic<std::uint64_t> VerbTotals::*Field) const;
+
+  /// The node whose worker is the calling thread, if any.
+  static thread_local const ShmNode *CurrentNode;
 
   NetworkModel Model;
   std::chrono::steady_clock::time_point Epoch;
   std::vector<std::unique_ptr<ShmNode>> Nodes;
 
-  /// Workers hold this shared for the duration of each task body;
-  /// pauseWorld() takes it exclusive, so once acquired no task is
-  /// mid-flight and none can start.
-  mutable std::shared_mutex WorldMu;
+  /// Held from pauseWorld() to resumeWorld(): one pauser at a time.
+  std::mutex PauserMu;
 
   std::atomic<bool> Stop{false};
   bool Joined = false; // main-thread only
-  std::atomic<unsigned> Executing{0};
 
   mutable std::mutex PermMu;
   std::map<std::uint64_t, bool> Perm; // (target,writer,key) packed
   RegionKey NextRegionKey = 1;        // guarded by PermMu
-
-  std::atomic<std::uint64_t> WritesPosted{0};
-  std::atomic<std::uint64_t> ReadsPosted{0};
-  std::atomic<std::uint64_t> SendsPosted{0};
-  std::atomic<std::uint64_t> BytesWritten{0};
 
   obs::Counter *CtrWrite = nullptr;
   obs::Counter *CtrRead = nullptr;

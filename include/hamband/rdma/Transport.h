@@ -199,10 +199,12 @@ public:
   virtual void runAfterOrWrite(NodeId Node, sim::SimDuration Delay,
                                std::function<void()> Fn) = 0;
 
-  /// Invokes \p Fn in \p Node's execution context with no simulated cost:
-  /// immediately inline on the simulator (whose driver thread IS every
-  /// node), enqueued to the node's thread on the shm backend. The entry
-  /// point for driver-side calls into node state.
+  /// Invokes \p Fn in \p Node's execution context with no simulated cost.
+  /// Inline whenever the caller already runs in \p Node's context: always
+  /// on the simulator (whose driver thread IS every node), and on the shm
+  /// backend when called from \p Node's own worker (a crashed node runs
+  /// nothing). From any other thread the shm backend enqueues it to the
+  /// node's worker. The entry point for driver-side calls into node state.
   virtual void callOn(NodeId Node, std::function<void()> Fn) = 0;
 
   /// Allocates a fresh region key for permission-controlled writes.
@@ -245,8 +247,12 @@ public:
 
   // -- Concurrency control (no-ops on the single-threaded simulator) -------
 
-  /// Stops the world: returns once every node thread is parked between
-  /// tasks, so the caller may inspect (or compare) node state race-free.
+  /// Stops the world: returns once no node thread is running a task and
+  /// none will start one before resumeWorld(), with every finished task's
+  /// effects visible to the caller, who may then inspect (or compare) node
+  /// state race-free. Call it from a thread outside the nodes, never from
+  /// inside a node's task; pauseWorld() and resumeWorld() pair on one
+  /// thread.
   virtual void pauseWorld() {}
 
   /// Undoes pauseWorld().
@@ -258,7 +264,9 @@ public:
   virtual void shutdown() {}
 
   /// True when no queued or executing node work remains (timers pending do
-  /// not count). On the simulator this is the event queue's idleness.
+  /// not count). On the simulator this is the event queue's idleness; on
+  /// shm each node is checked under its own lock, so the answer is exact
+  /// inside pauseWorld() and a snapshot otherwise.
   virtual bool idle() const = 0;
 };
 

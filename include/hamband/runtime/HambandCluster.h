@@ -91,17 +91,19 @@ public:
   /// The cluster-level registry the transport reports into.
   obs::Registry &clusterStats() { return ClusterStats; }
 
+  // The outstanding counts are kept per origin only, each origin on its
+  // own cache line: a call's submit and completion touch nothing another
+  // node's thread writes. The cluster-wide counts are sums read one
+  // origin at a time: exact inside withPausedWorld() or once settled, a
+  // snapshot while calls are in flight.
+
   /// Number of submitted calls whose completion is still pending.
-  std::uint64_t outstanding() const {
-    return Outstanding.load(std::memory_order_acquire);
-  }
+  std::uint64_t outstanding() const;
 
   /// Outstanding *update* calls only. Queries keep flowing during a
   /// membership transition, so drain-style checks look at updates, not
   /// at outstanding().
-  std::uint64_t updatesOutstanding() const {
-    return OutstandingUpdates.load(std::memory_order_acquire);
-  }
+  std::uint64_t updatesOutstanding() const;
 
   /// Outstanding updates whose origin node is still alive. A call
   /// submitted at a node that later hard-crashes never completes (its
@@ -113,7 +115,7 @@ public:
   /// that later hard-crashes never completes; live-cluster checks use this
   /// to discount such losses.
   std::uint64_t outstandingAt(rdma::NodeId Origin) const {
-    return OutstandingPer[Origin].load(std::memory_order_acquire);
+    return PerOrigin[Origin].Calls.load(std::memory_order_acquire);
   }
 
   /// Test helper: all nodes' visible states are equal.
@@ -133,8 +135,9 @@ public:
 
   // -- Concurrency helpers (trivial on the sim transport) ------------------
 
-  /// Runs \p Fn with every node thread parked, so it may inspect or
-  /// compare node state race-free. Inline on the sim transport.
+  /// Runs \p Fn with no node task running or starting (Transport::
+  /// pauseWorld), so it may inspect or compare node state race-free.
+  /// Inline on the sim transport. Never call it from inside a node task.
   void withPausedWorld(const std::function<void()> &Fn);
 
   /// fullyReplicated(), evaluated inside withPausedWorld().
@@ -228,11 +231,12 @@ private:
   std::vector<rdma::RegionKey> ConfKeys;
   std::vector<std::unique_ptr<HambandNode>> Nodes;
   std::vector<bool> Failed;
-  std::atomic<std::uint64_t> Outstanding{0};
-  std::atomic<std::uint64_t> OutstandingUpdates{0};
-  std::unique_ptr<std::atomic<std::uint64_t>[]> OutstandingPer;
-  /// Per-origin update counts backing liveUpdatesOutstanding().
-  std::unique_ptr<std::atomic<std::uint64_t>[]> OutstandingUpdatesPer;
+  /// One origin's outstanding calls, and the updates among them.
+  struct alignas(64) OriginCounts {
+    std::atomic<std::uint64_t> Calls{0};
+    std::atomic<std::uint64_t> Updates{0};
+  };
+  std::unique_ptr<OriginCounts[]> PerOrigin;
   sim::FaultInjector *FaultInj = nullptr;
   std::unique_ptr<ReconfigManager> Reconfig;
 };

@@ -136,11 +136,14 @@ public:
 
   obs::Registry &clusterStats() { return ClusterStats; }
 
-  std::uint64_t outstanding() const {
-    return Outstanding.load(std::memory_order_acquire);
-  }
+  /// Calls whose completion is still pending: the sum of the per-origin
+  /// counts, each on its own cache line so a call's submit and
+  /// completion touch nothing another node's thread writes. Exact inside
+  /// withPausedWorld() or once settled.
+  std::uint64_t outstanding() const;
+  /// Outstanding calls submitted at \p Origin.
   std::uint64_t outstandingAt(rdma::NodeId Origin) const {
-    return OutstandingPer[Origin].load(std::memory_order_acquire);
+    return PerOrigin[Origin].Calls.load(std::memory_order_acquire);
   }
 
   /// All nodes converged, shard by shard.
@@ -207,8 +210,10 @@ private:
   std::vector<bool> FailedNode;
   std::vector<std::vector<bool>> FailedShard; // [shard][node]
   bool Started = false;
-  std::atomic<std::uint64_t> Outstanding{0};
-  std::unique_ptr<std::atomic<std::uint64_t>[]> OutstandingPer;
+  struct alignas(64) OriginCounts {
+    std::atomic<std::uint64_t> Calls{0};
+  };
+  std::unique_ptr<OriginCounts[]> PerOrigin;
   // Cached obs handles (registered at build time, lock-free afterwards).
   std::vector<obs::Counter *> CtrShardSubmitted; // [shard]
   obs::Counter *CtrUnknownKey = nullptr;

@@ -141,13 +141,19 @@ fi
 #    ring through wraps, pads, spans and a mid-stream crash, and a
 #    stream driven by write-woken timers, which exercises the doorbell
 #    handshake: a poster rings the bell then reads Parked, a parking
-#    worker sets Parked then re-reads the bell, so no wakeup is lost);
+#    worker sets Parked then re-reads the bell, so no wakeup is lost),
+#    and hundreds of pause/resume cycles under such a stream, which
+#    exercise the pause handshake: pauseWorld() marks each node paused
+#    under the node's own mutex and waits until its running task ends,
+#    and a paused worker starts no task;
 #  - the shm half of the transport conformance suite -- the full
 #    lockstep-equivalence corpus, batched and unbatched, with every node
-#    on its own OS thread, and the write-woken timer contract (a peer's
+#    on its own OS thread, the write-woken timer contract (a peer's
 #    permitted write rings; plain timers, denied and local writes do
-#    not). The sim half runs in the main ctest pass
-#    above, under ASan+UBSan when HAMBAND_SANITIZE is set.
+#    not), inline callOn from a node's own worker, the pause handshake
+#    and the cluster's per-origin outstanding counters. The sim half runs
+#    in the main ctest pass above, under ASan+UBSan when
+#    HAMBAND_SANITIZE is set.
 #  - the shm half of the sharded keyspace suite -- the cross-shard
 #    equivalence corpus over every registered type plus the sim-only
 #    fault-injection policy pin, with several shards multiplexed onto
@@ -160,13 +166,17 @@ fi
 #    FaultTrace replay). The suite is sim-deterministic, but under TSan
 #    it pins the epoch-fence and permission-revocation paths that the
 #    shm backend drives from real threads.
+#  - the benchlib runner on shm at Batch.MaxCalls 1 and 16 -- the
+#    fig8_shm run loop, whose completion callbacks submit the next call
+#    inline on the origin's worker while the main thread pauses the
+#    world every 2 ms to inspect it.
 if [ "${SKIP_TSAN:-0}" != "1" ]; then
   echo "ci: TSan threaded smoke (obs + shm transport + sharding + deltas" \
-       "+ reconfig)"
+       "+ reconfig + shm runner)"
   cmake -B "$BUILD-tsan" -S "$REPO" -DHAMBAND_SANITIZE=thread
   cmake --build "$BUILD-tsan" -j"$(nproc)" \
     --target obs_tests shm_ring_stress_tests transport_conformance_tests \
-             sharding_tests delta_tests reconfig_tests
+             sharding_tests delta_tests reconfig_tests benchlib_tests
   "$BUILD-tsan/tests/obs_tests" \
     --gtest_filter='ObsRegistry.ConcurrentMutationIsExact'
   "$BUILD-tsan/tests/shm_ring_stress_tests"
@@ -176,6 +186,8 @@ if [ "${SKIP_TSAN:-0}" != "1" ]; then
     --gtest_filter='*shm_*:*FaultInjectionIsSimOnly*'
   "$BUILD-tsan/tests/delta_tests" --gtest_filter='*shm_*'
   "$BUILD-tsan/tests/reconfig_tests"
+  "$BUILD-tsan/tests/benchlib_tests" \
+    --gtest_filter='Runner.ShmCounterRunCompletesAndConverges'
 fi
 
 # Lint: no-op (with a notice) when clang-tidy is not installed.

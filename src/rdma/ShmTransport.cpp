@@ -32,6 +32,8 @@ void promoteDue(HeapT &Heap, std::uint64_t Until, QueueT &Queue) {
 
 } // namespace
 
+thread_local const ShmTransport::ShmNode *ShmTransport::CurrentNode = nullptr;
+
 ShmTransport::ShmTransport(unsigned NumNodes, NetworkModel Model,
                            std::size_t MemBytesPerNode)
     : Model(Model), Epoch(std::chrono::steady_clock::now()) {
@@ -63,6 +65,7 @@ const MemoryRegion &ShmTransport::memory(NodeId Node) const {
 }
 
 void ShmTransport::workerLoop(ShmNode &N) {
+  CurrentNode = &N;
   std::unique_lock<std::mutex> L(N.Mu);
   while (!Stop.load(std::memory_order_acquire)) {
     // Promote due timers into the task queue. Timers fire even on a
@@ -76,27 +79,29 @@ void ShmTransport::workerLoop(ShmNode &N) {
                 N.Bell.exchange(false, std::memory_order_acquire);
     promoteDue(N.Timers, NowNs, N.Queue);
     promoteDue(N.WakeTimers, Rung ? UINT64_MAX : NowNs, N.Queue);
-    if (!N.Queue.empty()) {
+    if (!N.Paused && !N.Queue.empty()) {
+      // Running is set and cleared under Mu, so a pauser that finds it
+      // clear also sees every effect of the task (the closure's captures
+      // are released before it clears).
       Task T = std::move(N.Queue.front());
       N.Queue.pop_front();
-      Executing.fetch_add(1, std::memory_order_acq_rel);
+      N.Running = true;
       L.unlock();
-      {
-        // Task bodies run under the world lock (shared): pauseWorld()'s
-        // exclusive acquisition therefore means "no task mid-flight".
-        std::shared_lock<std::shared_mutex> World(WorldMu);
-        if (!T.NeedsAlive || N.Alive.load(std::memory_order_acquire))
-          T.Fn();
-      }
-      Executing.fetch_sub(1, std::memory_order_acq_rel);
+      if (!T.NeedsAlive || N.Alive.load(std::memory_order_acquire))
+        T.Fn();
+      T.Fn = nullptr;
       L.lock();
+      N.Running = false;
+      if (N.PauserWaiting)
+        N.PauseCv.notify_one();
       continue;
     }
-    // Park. Parked is stored before the bell is re-read, and a ringing
-    // peer stores the bell before it reads Parked (all seq_cst), so at
-    // least one side sees the other: either this re-read finds the bell,
-    // or the peer finds Parked and notifies under Mu, which it cannot
-    // take before this thread is waiting.
+    // Park, also while paused with tasks queued. Parked is stored before
+    // the bell is re-read, and a ringing peer stores the bell before it
+    // reads Parked (all seq_cst), so at least one side sees the other:
+    // either this re-read finds the bell, or the peer finds Parked and
+    // notifies under Mu, which it cannot take before this thread is
+    // waiting.
     N.Parked.store(true, std::memory_order_seq_cst);
     if (N.Bell.load(std::memory_order_seq_cst)) {
       N.Parked.store(false, std::memory_order_relaxed);
@@ -161,8 +166,9 @@ void ShmTransport::postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
   assert(Src < Nodes.size() && Dst < Nodes.size());
   if (!Nodes[Src]->Alive.load(std::memory_order_acquire))
     return; // A crashed initiator posts nothing (its CPU is stopped).
-  WritesPosted.fetch_add(1, std::memory_order_relaxed);
-  BytesWritten.fetch_add(Data.size(), std::memory_order_relaxed);
+  VerbTotals &Posted = Nodes[Src]->Posted;
+  Posted.Writes.fetch_add(1, std::memory_order_relaxed);
+  Posted.Bytes.fetch_add(Data.size(), std::memory_order_relaxed);
   if (CtrWrite)
     CtrWrite->add();
   if (CtrBytes)
@@ -194,7 +200,7 @@ void ShmTransport::postRead(NodeId Src, NodeId Dst, MemOffset DstOff,
   assert(Src < Nodes.size() && Dst < Nodes.size());
   if (!Nodes[Src]->Alive.load(std::memory_order_acquire))
     return;
-  ReadsPosted.fetch_add(1, std::memory_order_relaxed);
+  Nodes[Src]->Posted.Reads.fetch_add(1, std::memory_order_relaxed);
   if (CtrRead)
     CtrRead->add();
   // The Transport contract promises a consistent snapshot; double-read
@@ -216,7 +222,7 @@ void ShmTransport::send(NodeId Src, NodeId Dst,
   assert(Src < Nodes.size() && Dst < Nodes.size());
   if (!Nodes[Src]->Alive.load(std::memory_order_acquire))
     return;
-  SendsPosted.fetch_add(1, std::memory_order_relaxed);
+  Nodes[Src]->Posted.Sends.fetch_add(1, std::memory_order_relaxed);
   if (CtrSend)
     CtrSend->add();
   ShmNode *D = Nodes[Dst].get();
@@ -270,6 +276,15 @@ void ShmTransport::runAfterOrWrite(NodeId Node, sim::SimDuration Delay,
 }
 
 void ShmTransport::callOn(NodeId Node, std::function<void()> Fn) {
+  assert(Node < Nodes.size());
+  ShmNode &N = *Nodes[Node];
+  if (CurrentNode == &N) {
+    // Already in Node's context: run inline, as the simulator does. A
+    // crashed node runs nothing, as its queue would drop the task.
+    if (N.Alive.load(std::memory_order_acquire))
+      Fn();
+    return;
+  }
   enqueue(Node, std::move(Fn), /*NeedsAlive=*/true);
 }
 
@@ -319,9 +334,39 @@ void ShmTransport::setObs(obs::Registry &R) {
   CtrBytes = &R.counter("rdma.bytes_written");
 }
 
-void ShmTransport::pauseWorld() { WorldMu.lock(); }
+std::uint64_t
+ShmTransport::sumPosted(std::atomic<std::uint64_t> VerbTotals::*Field) const {
+  std::uint64_t Sum = 0;
+  for (const auto &N : Nodes)
+    Sum += (N->Posted.*Field).load(std::memory_order_relaxed);
+  return Sum;
+}
 
-void ShmTransport::resumeWorld() { WorldMu.unlock(); }
+void ShmTransport::pauseWorld() {
+  PauserMu.lock();
+  for (auto &NP : Nodes) {
+    ShmNode &N = *NP;
+    assert(CurrentNode != &N && "a worker cannot wait for its own task");
+    std::unique_lock<std::mutex> L(N.Mu);
+    N.Paused = true;
+    if (N.Running) {
+      N.PauserWaiting = true;
+      N.PauseCv.wait(L, [&N]() { return !N.Running; });
+      N.PauserWaiting = false;
+    }
+  }
+}
+
+void ShmTransport::resumeWorld() {
+  for (auto &N : Nodes) {
+    std::lock_guard<std::mutex> G(N->Mu);
+    N->Paused = false;
+    // A worker that is not parked checks Paused before it parks.
+    if (N->Parked.load(std::memory_order_relaxed))
+      N->Cv.notify_one();
+  }
+  PauserMu.unlock();
+}
 
 void ShmTransport::shutdown() {
   if (Joined)
@@ -346,13 +391,12 @@ void ShmTransport::shutdown() {
 }
 
 bool ShmTransport::idle() const {
-  // Queues first, Executing last: a worker increments Executing while
-  // still holding its queue lock, so a task popped between our two reads
-  // is caught by the Executing check rather than slipping past both.
+  // A worker sets Running under Mu as it pops a task, so no task slips
+  // between the two reads of one node.
   for (const auto &N : Nodes) {
     std::lock_guard<std::mutex> G(N->Mu);
-    if (!N->Queue.empty())
+    if (!N->Queue.empty() || N->Running)
       return false;
   }
-  return Executing.load(std::memory_order_acquire) == 0;
+  return true;
 }

@@ -57,14 +57,7 @@ HambandCluster::HambandCluster(rdma::TransportKind Kind, unsigned NumNodes,
 void HambandCluster::build(unsigned NumNodes, rdma::NetworkModel Model) {
   (void)Model;
   Failed.assign(NumNodes, false);
-  OutstandingPer =
-      std::make_unique<std::atomic<std::uint64_t>[]>(NumNodes);
-  OutstandingUpdatesPer =
-      std::make_unique<std::atomic<std::uint64_t>[]>(NumNodes);
-  for (unsigned N = 0; N < NumNodes; ++N) {
-    OutstandingPer[N].store(0, std::memory_order_relaxed);
-    OutstandingUpdatesPer[N].store(0, std::memory_order_relaxed);
-  }
+  PerOrigin = std::make_unique<OriginCounts[]>(NumNodes);
   Trans->setObs(ClusterStats);
   // Reserve the mapped range so nothing else lands in it.
   for (rdma::NodeId N = 0; N < NumNodes; ++N)
@@ -121,35 +114,44 @@ void HambandCluster::submit(rdma::NodeId Origin, const Call &C,
   assert(Origin < Nodes.size());
   bool IsUpdate =
       Type.coordination().category(C.Method) != MethodCategory::Query;
-  Outstanding.fetch_add(1, std::memory_order_acq_rel);
-  if (IsUpdate) {
-    OutstandingUpdates.fetch_add(1, std::memory_order_acq_rel);
-    OutstandingUpdatesPer[Origin].fetch_add(1, std::memory_order_acq_rel);
-  }
-  OutstandingPer[Origin].fetch_add(1, std::memory_order_acq_rel);
+  OriginCounts &Counts = PerOrigin[Origin];
+  Counts.Calls.fetch_add(1, std::memory_order_acq_rel);
+  if (IsUpdate)
+    Counts.Updates.fetch_add(1, std::memory_order_acq_rel);
   Trans->callOn(Origin, [this, Origin, C, IsUpdate,
                          Done = std::move(Done)]() {
     Nodes[Origin]->submit(
         C, [this, Origin, IsUpdate, Done = std::move(Done)](bool Ok,
                                                             Value V) {
-          Outstanding.fetch_sub(1, std::memory_order_acq_rel);
-          if (IsUpdate) {
-            OutstandingUpdates.fetch_sub(1, std::memory_order_acq_rel);
-            OutstandingUpdatesPer[Origin].fetch_sub(1,
-                                                    std::memory_order_acq_rel);
-          }
-          OutstandingPer[Origin].fetch_sub(1, std::memory_order_acq_rel);
+          OriginCounts &Counts = PerOrigin[Origin];
+          if (IsUpdate)
+            Counts.Updates.fetch_sub(1, std::memory_order_acq_rel);
+          Counts.Calls.fetch_sub(1, std::memory_order_acq_rel);
           if (Done)
             Done(Ok, V);
         });
   });
 }
 
+std::uint64_t HambandCluster::outstanding() const {
+  std::uint64_t Pending = 0;
+  for (rdma::NodeId N = 0; N < numNodes(); ++N)
+    Pending += PerOrigin[N].Calls.load(std::memory_order_acquire);
+  return Pending;
+}
+
+std::uint64_t HambandCluster::updatesOutstanding() const {
+  std::uint64_t Pending = 0;
+  for (rdma::NodeId N = 0; N < numNodes(); ++N)
+    Pending += PerOrigin[N].Updates.load(std::memory_order_acquire);
+  return Pending;
+}
+
 std::uint64_t HambandCluster::liveUpdatesOutstanding() const {
   std::uint64_t Pending = 0;
   for (rdma::NodeId N = 0; N < numNodes(); ++N)
     if (Trans->isAlive(N))
-      Pending += OutstandingUpdatesPer[N].load(std::memory_order_acquire);
+      Pending += PerOrigin[N].Updates.load(std::memory_order_acquire);
   return Pending;
 }
 
@@ -304,7 +306,7 @@ std::uint64_t HambandCluster::stateFingerprint() {
     // digest stays in the fingerprint.
     Mix(Nodes[N]->stateDigest());
   }
-  Mix(Outstanding.load(std::memory_order_relaxed));
+  Mix(outstanding());
   return H;
 }
 

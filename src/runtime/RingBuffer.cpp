@@ -276,8 +276,10 @@ void RingReader::consumeSpan(std::uint32_t SpanCells) {
   // Clear the span canary so the slots can be reused by a later lap. A
   // single-cell record keeps its bytes intact (leader-change catch-up
   // reads consumed cells via readCellIgnoringCanary); a spanning record
-  // additionally gets every span cell's header zeroed, so stale interior
-  // payload bytes can never be misparsed as a record header later.
+  // additionally gets every span cell's header and last byte zeroed, so
+  // stale interior payload bytes can never be misparsed as a record
+  // header later, nor read as the canary of a later record that ends in
+  // that cell while its own write is still landing.
   Mem.writeU8(DataOff +
                   static_cast<rdma::MemOffset>(Pos + SpanCells) *
                       Geom.CellSize -
@@ -285,10 +287,12 @@ void RingReader::consumeSpan(std::uint32_t SpanCells) {
               0);
   if (SpanCells > 1) {
     static const std::uint8_t ZeroHeader[RingGeometry::HeaderBytes] = {};
-    for (std::uint32_t I = 0; I < SpanCells; ++I)
-      Mem.write(DataOff +
-                    static_cast<rdma::MemOffset>(Pos + I) * Geom.CellSize,
-                ZeroHeader, sizeof(ZeroHeader));
+    for (std::uint32_t I = 0; I < SpanCells; ++I) {
+      rdma::MemOffset CellOff =
+          DataOff + static_cast<rdma::MemOffset>(Pos + I) * Geom.CellSize;
+      Mem.write(CellOff, ZeroHeader, sizeof(ZeroHeader));
+      Mem.writeU8(CellOff + Geom.CellSize - 1, 0);
+    }
   }
   Head += SpanCells;
   // Publish the head to the writer once per quarter ring so it can reuse

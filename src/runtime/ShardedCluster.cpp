@@ -65,9 +65,7 @@ void ShardedCluster::build(rdma::NetworkModel Model) {
   (void)Model;
   FailedNode.assign(NumNodes, false);
   FailedShard.assign(KS.numShards(), std::vector<bool>(NumNodes, false));
-  OutstandingPer = std::make_unique<std::atomic<std::uint64_t>[]>(NumNodes);
-  for (unsigned N = 0; N < NumNodes; ++N)
-    OutstandingPer[N].store(0, std::memory_order_relaxed);
+  PerOrigin = std::make_unique<OriginCounts[]>(NumNodes);
   Trans->setObs(ClusterStats);
   CtrUnknownKey = &ClusterStats.counter("keyspace.unknown_key");
   GaugeImbalance = &ClusterStats.gauge("shard.imbalance");
@@ -136,13 +134,11 @@ void ShardedCluster::submit(rdma::NodeId Origin, const Call &C,
   }
   unsigned S = KS.shardOfKey(Key);
   CtrShardSubmitted[S]->add();
-  Outstanding.fetch_add(1, std::memory_order_acq_rel);
-  OutstandingPer[Origin].fetch_add(1, std::memory_order_acq_rel);
+  PerOrigin[Origin].Calls.fetch_add(1, std::memory_order_acq_rel);
   Trans->callOn(Origin, [this, S, Origin, C, Done = std::move(Done)]() {
     Nodes[S][Origin]->submit(
         C, [this, Origin, Done = std::move(Done)](bool Ok, Value V) {
-          Outstanding.fetch_sub(1, std::memory_order_acq_rel);
-          OutstandingPer[Origin].fetch_sub(1, std::memory_order_acq_rel);
+          PerOrigin[Origin].Calls.fetch_sub(1, std::memory_order_acq_rel);
           if (Done)
             Done(Ok, V);
         });
@@ -159,6 +155,13 @@ void ShardedCluster::submitOn(rdma::NodeId Origin, const std::string &Id,
     return;
   }
   submit(Origin, KeyedObjectType::keyCall(*Key, Inner), std::move(Done));
+}
+
+std::uint64_t ShardedCluster::outstanding() const {
+  std::uint64_t Pending = 0;
+  for (rdma::NodeId N = 0; N < NumNodes; ++N)
+    Pending += PerOrigin[N].Calls.load(std::memory_order_acquire);
+  return Pending;
 }
 
 bool ShardedCluster::fullyReplicated() const {

@@ -252,3 +252,26 @@ TEST(Runner, ConflictingWorkloadRunsOnAuction) {
   EXPECT_TRUE(R.Completed);
   EXPECT_EQ(R.CompletedOps, 500u);
 }
+
+TEST(Runner, ShmCounterRunCompletesAndConverges) {
+  // The fig8_shm run loop on real node threads: completion callbacks run
+  // on the origin's worker and submit the next call inline, and the main
+  // thread inspects the cluster inside withPausedWorld() every 2 ms.
+  // Completed means every call returned and the cluster was fully
+  // replicated (nothing outstanding, every node idle, applied tables
+  // equal), which for a counter is convergence.
+  Counter T;
+  WorkloadSpec W = quickWorkload();
+  W.NumOps = 4000;
+  W.UpdateRatio = 0.25;
+  for (unsigned MaxCalls : {1u, 16u}) {
+    RunnerOptions O = quickOpts(RuntimeKind::Hamband);
+    O.Transport = rdma::TransportKind::Shm;
+    O.Cfg.Batch.MaxCalls = MaxCalls;
+    O.SafetyCap = sim::millis(60000); // Wall clock on shm.
+    RunResult R = runOnce(T, W, O, 5);
+    EXPECT_TRUE(R.Completed) << "MaxCalls " << MaxCalls;
+    EXPECT_EQ(R.CompletedOps, 4000u) << "MaxCalls " << MaxCalls;
+    EXPECT_EQ(R.RejectedOps, 0u) << "MaxCalls " << MaxCalls;
+  }
+}

@@ -502,6 +502,58 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::ValuesIn(registeredTypeNames())),
     shardedParamName);
 
+/// The sharded cluster keeps its outstanding counts per origin; with the
+/// world paused no call completes, so outstanding() is exactly their sum
+/// and the number submitted, and every count settles to 0.
+class ShardedCounters : public ::testing::TestWithParam<ShardedParam> {};
+
+TEST_P(ShardedCounters, PerOriginCountsSumAndSettleToZero) {
+  const unsigned Nodes = 3, NumObjects = 4, NumCalls = 24;
+  auto Base = makeType(std::get<1>(GetParam()));
+  std::vector<MethodId> Updates = Base->coordination().updateMethods();
+  KeyspaceConfig KC;
+  KC.NumShards = 2;
+  std::atomic<unsigned> Done{0};
+  ShardedWorld W(std::get<0>(GetParam()), Nodes, *Base, KC, HambandConfig{});
+  for (unsigned O = 0; O < NumObjects; ++O)
+    W.C->registerObject("obj" + std::to_string(O));
+  W.C->start();
+
+  sim::Rng R(11);
+  std::vector<std::uint64_t> PerOrigin(Nodes, 0);
+  W.inspect([&] {
+    for (unsigned I = 0; I < NumCalls; ++I) {
+      ProcessId P = I % Nodes;
+      MethodId M = R.pick(Updates);
+      if (Base->coordination().category(M) == MethodCategory::Conflicting)
+        P = *Base->coordination().syncGroup(M) % Nodes;
+      ++PerOrigin[P];
+      W.C->submitOn(P, "obj" + std::to_string(I % NumObjects),
+                    Base->randomClientCall(M, P, 7000 + I, R),
+                    [&Done](bool, Value) { ++Done; });
+    }
+    std::uint64_t Sum = 0;
+    for (ProcessId P = 0; P < Nodes; ++P) {
+      EXPECT_EQ(W.C->outstandingAt(P), PerOrigin[P]) << "origin " << P;
+      Sum += W.C->outstandingAt(P);
+    }
+    EXPECT_EQ(W.C->outstanding(), Sum);
+    EXPECT_EQ(W.C->outstanding(), NumCalls);
+  });
+  ASSERT_TRUE(W.drain(Done, NumCalls));
+  EXPECT_EQ(W.C->outstanding(), 0u);
+  for (ProcessId P = 0; P < Nodes; ++P)
+    EXPECT_EQ(W.C->outstandingAt(P), 0u) << "origin " << P;
+  W.C->stopTransport();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ShardedCounters,
+    ::testing::Combine(
+        ::testing::Values(TransportKind::Sim, TransportKind::Shm),
+        ::testing::Values("counter", "bank-account")),
+    shardedParamName);
+
 //===----------------------------------------------------------------------===//
 // Shard-confined fault schedules (sim-only)
 //===----------------------------------------------------------------------===//

@@ -17,6 +17,10 @@
 // doorbell handshake (a peer's write rings the destination's bell; a
 // parked worker is woken without a lost wakeup).
 //
+// PauseResumeUnderLoad pauses and resumes the world hundreds of times
+// under such a stream, pinning the pause handshake: a paused node starts
+// no task and pauseWorld() waits out the task a node is running.
+//
 // The torn-write tests below craft partial span images directly in the
 // reader's memory -- exactly what a writer crash mid-span leaves behind
 // under the transport contract (bytes land in increasing address order,
@@ -193,6 +197,110 @@ TEST_F(ShmRingStress, WriteWokenReaderKeepsUpAcrossLaps) {
   EXPECT_GE(FullWaits, Laps / 2) << "the stream never waited on feedback";
 }
 
+TEST_F(ShmRingStress, PauseResumeUnderLoad) {
+  // The write-woken ring stream, with every round also posting a task to
+  // the peer node and one to its own node (which runs inline), while this
+  // thread pauses and resumes the world hundreds of times. Inside every
+  // pause no task may be mid-flight: each node's in-task count reads 0
+  // and the ring cursors, read twice, have not moved. The cursors are
+  // plain fields of the node threads, so under TSan a pause that let a
+  // task run would also show up as a data race.
+  const unsigned NumPauses = 400;
+  // Lost wakeups are WriteWokenReaderKeepsUpAcrossLaps' concern; a short
+  // backstop keeps the drain after the last pause short.
+  const sim::SimDuration Backstop = sim::millis(2);
+  RingWriter W(T, /*Writer=*/0, /*Reader=*/1, DataOff, FeedbackOff, Geom);
+  RingReader R(T, /*Reader=*/1, /*Writer=*/0, DataOff, FeedbackOff, Geom);
+
+  std::atomic<int> InTask[2] = {0, 0};
+  std::atomic<std::uint64_t> Sent{0};
+  std::atomic<std::uint64_t> Received{0};
+  std::atomic<std::uint64_t> Mismatches{0};
+  std::atomic<std::uint64_t> SideTasks{0};
+  std::atomic<bool> StopStream{false};
+  std::atomic<bool> WriterDone{false};
+  std::atomic<bool> ReaderDone{false};
+  // Runs \p Body as node \p Node's task body, counted in InTask, and
+  // posts a counted side task to each node.
+  auto Counted = [&](NodeId Node, const std::function<void()> &Body) {
+    ++InTask[Node];
+    Body();
+    for (NodeId To : {NodeId(0), NodeId(1)})
+      T.callOn(To, [&InTask, &SideTasks, To]() {
+        ++InTask[To];
+        ++SideTasks;
+        --InTask[To];
+      });
+    --InTask[Node];
+  };
+  std::function<void()> ReadRound;
+  std::function<void()> WriteRound;
+  ReadRound = [&]() {
+    Counted(1, [&]() {
+      std::vector<std::uint8_t> Got;
+      std::uint64_t N = Received.load();
+      for (; R.peek(Got); ++N) {
+        if (Got != payloadFor(N, Geom))
+          ++Mismatches;
+        R.consume();
+      }
+      Received = N;
+      if (WriterDone && N == Sent)
+        ReaderDone = true;
+      else
+        T.runAfterOrWrite(1, Backstop, ReadRound);
+    });
+  };
+  WriteRound = [&]() {
+    Counted(0, [&]() {
+      std::uint64_t N = Sent.load();
+      while (!StopStream && W.appendRecord(payloadFor(N, Geom)))
+        Sent = ++N;
+      if (StopStream)
+        WriterDone = true;
+      else
+        T.runAfterOrWrite(0, Backstop, WriteRound);
+    });
+  };
+
+  const auto Bound = std::chrono::seconds(60);
+  auto Start = std::chrono::steady_clock::now();
+  T.runAfterOrWrite(1, Backstop, ReadRound);
+  T.callOn(0, WriteRound);
+  unsigned Pauses = 0, Busy = 0, Moved = 0;
+  std::uint64_t SentAtFirstPause = 0;
+  for (; Pauses < NumPauses &&
+         std::chrono::steady_clock::now() - Start < Bound;
+       ++Pauses) {
+    T.pauseWorld();
+    Busy += InTask[0].load() != 0 || InTask[1].load() != 0;
+    std::uint64_t Tail = W.tail(), Head = R.head();
+    if (Pauses == 0)
+      SentAtFirstPause = Sent.load();
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+    Moved += W.tail() != Tail || R.head() != Head;
+    T.resumeWorld();
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  std::uint64_t SentAtLastPause = Sent.load();
+  StopStream = true;
+  // The writer's next round sees the stop: it is re-armed on the
+  // reader's head feedback, which the reader sends as it drains.
+  while (!ReaderDone && std::chrono::steady_clock::now() - Start < Bound)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  T.shutdown(); // The rounds capture this frame.
+
+  EXPECT_TRUE(ReaderDone.load()) << "stream did not drain within the bound";
+  EXPECT_EQ(Pauses, NumPauses);
+  EXPECT_EQ(Busy, 0u) << "pauses with a task mid-flight";
+  EXPECT_EQ(Moved, 0u) << "ring cursors moved inside a pause";
+  EXPECT_EQ(Received.load(), Sent.load());
+  EXPECT_EQ(Mismatches.load(), 0u) << "torn or out-of-order records";
+  EXPECT_GT(SentAtLastPause, SentAtFirstPause + Geom.NumCells)
+      << "the stream made no progress across the pauses";
+  EXPECT_GT(SideTasks.load(), 0u);
+}
+
 TEST_F(ShmRingStress, TornSpanWithoutCanaryIsNeverDelivered) {
   RingReader R(T, /*Reader=*/1, /*Writer=*/0, DataOff, FeedbackOff, Geom);
   MemoryRegion &Mem = T.memory(1);
@@ -233,6 +341,40 @@ TEST_F(ShmRingStress, TornSpanWithoutCanaryIsNeverDelivered) {
   ASSERT_TRUE(R.peek(Got));
   EXPECT_EQ(Got.size(), Len);
   EXPECT_EQ(Got[0], static_cast<std::uint8_t>(RingGeometry::HeaderBytes));
+}
+
+TEST_F(ShmRingStress, StaleInteriorByteIsNeverTakenForACanary) {
+  // A spanning record leaves payload bytes at the last byte of its
+  // interior cells. A lap later, a single-cell record there whose header
+  // has landed but whose canary has not must not be delivered because
+  // the old interior byte at its canary position happens to read 1.
+  RingWriter W(T, /*Writer=*/0, /*Reader=*/1, DataOff, FeedbackOff, Geom);
+  RingReader R(T, /*Reader=*/1, /*Writer=*/0, DataOff, FeedbackOff, Geom);
+  std::vector<std::uint8_t> Spanning(2 * Geom.CellSize, 0xAB);
+  ASSERT_GT(Geom.cellsFor(Spanning.size()), 1u);
+  Spanning[Geom.CellSize - RingGeometry::HeaderBytes - 1] = 1; // Cell 0's end.
+  ASSERT_TRUE(W.appendRecord(Spanning));
+  std::vector<std::uint8_t> Got;
+  ASSERT_TRUE(R.peek(Got));
+  ASSERT_EQ(Got, Spanning);
+  R.consume();
+  // Single-cell records fill the rest of the lap.
+  const std::vector<std::uint8_t> Small(4, 0x11);
+  while (W.tail() < Geom.NumCells) {
+    ASSERT_TRUE(W.appendRecord(Small));
+    ASSERT_TRUE(R.peek(Got));
+    R.consume();
+  }
+  ASSERT_EQ(R.head(), Geom.NumCells);
+
+  // The next lap's first record, back at cell 0: header only.
+  const std::uint32_t Len = 4;
+  const std::uint64_t Seq = Geom.NumCells;
+  std::uint8_t Header[RingGeometry::HeaderBytes];
+  std::memcpy(Header, &Len, 4);
+  std::memcpy(Header + 4, &Seq, 8);
+  T.memory(1).write(DataOff, Header, sizeof(Header));
+  EXPECT_FALSE(R.peek(Got)) << "a stale interior byte was taken for a canary";
 }
 
 TEST_F(ShmRingStress, StaleLapSequenceIsRejected) {

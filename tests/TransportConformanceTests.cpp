@@ -20,7 +20,8 @@
 //    pure function of the call multiset, so even the *concurrent* shm
 //    runtime must agree bit-for-bit with the executable semantics;
 //    conflicting and observation-dependent types must converge per world
-//    and keep their integrity invariant.
+//    and keep their integrity invariant. The cluster's per-origin
+//    outstanding counts and their sums are pinned on both backends too.
 //
 // Anything inherently tied to simulated time (latency ratios, CPU-lane
 // timing, fault schedules, trace replay) stays in RdmaTests /
@@ -83,9 +84,9 @@ protected:
   }
 
   /// Runs the backend until it is quiescent. On sim this drains the event
-  /// queue; on shm it polls idle() under pauseWorld(), whose exclusive
-  /// world-lock acquisition both waits out in-flight tasks and publishes
-  /// their effects to this thread.
+  /// queue; on shm it polls idle() under pauseWorld(), which waits out
+  /// each node's running task under that node's mutex and so also
+  /// publishes the tasks' effects to this thread.
   void settle() {
     if (Sim) {
       Sim->run();
@@ -392,6 +393,90 @@ TEST_P(TransportConformance, DiagnosticCountersAdvance) {
   EXPECT_EQ(T->totalBytesWritten(), 2u);
 }
 
+TEST_P(TransportConformance, CallOnFromOwnContextRunsInline) {
+  // A callOn made from inside the target node's own task has run before
+  // it returns, on both backends. On shm a callOn from another node or
+  // from the test thread is queued to the target's worker; the
+  // simulator's single thread is every node's context, so there it runs
+  // inline too. Node 2 is held busy on shm so that its queued task cannot
+  // slip in before the check.
+  std::atomic<bool> Release{Sim != nullptr};
+  if (!Sim)
+    T->runOnCpu(2, 0, [&] {
+      while (!Release)
+        std::this_thread::yield();
+    });
+  std::atomic<bool> SelfInline{false};
+  std::atomic<bool> PeerInline{false};
+  std::atomic<bool> PeerRan{false};
+  std::atomic<bool> Posted{false};
+  T->runOnCpu(1, sim::micros(1), [&] {
+    bool Ran = false;
+    T->callOn(1, [&Ran] { Ran = true; });
+    SelfInline = Ran;
+    T->callOn(2, [&] { PeerRan = true; });
+    PeerInline = PeerRan.load();
+    Posted = true;
+  });
+  if (!Sim) {
+    bool Ok = waitFor(Posted, std::chrono::milliseconds(10000));
+    Release = true;
+    ASSERT_TRUE(Ok);
+  }
+  settle();
+  EXPECT_TRUE(SelfInline);
+  EXPECT_TRUE(PeerRan);
+  EXPECT_EQ(PeerInline.load(), Sim != nullptr);
+
+  std::atomic<bool> TestThreadRan{false};
+  T->pauseWorld(); // Nothing starts on shm until resumeWorld().
+  T->callOn(0, [&] { TestThreadRan = true; });
+  EXPECT_EQ(TestThreadRan.load(), Sim != nullptr);
+  T->resumeWorld();
+  settle();
+  EXPECT_TRUE(TestThreadRan);
+}
+
+TEST_P(TransportConformance, PauseWorldWaitsOutRunningTask) {
+  // On shm a task on node 1 spins until a helper thread releases it,
+  // about 50 ms into the pause: pauseWorld() must return only after the
+  // task ended, and idle() is false while it runs. On both backends a
+  // task posted during the pause does not start before resumeWorld().
+  if (!Sim) {
+    std::atomic<bool> Started{false};
+    std::atomic<bool> Release{false};
+    std::atomic<bool> Ended{false};
+    T->runOnCpu(1, 0, [&] {
+      Started = true;
+      while (!Release)
+        std::this_thread::yield();
+      Ended = true;
+    });
+    bool Ok = waitFor(Started, std::chrono::milliseconds(10000));
+    EXPECT_FALSE(T->idle()) << "a running task is work";
+    std::thread Releaser([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      Release = true;
+    });
+    T->pauseWorld();
+    EXPECT_TRUE(Ended) << "pauseWorld() returned with a task mid-flight";
+    Releaser.join();
+    ASSERT_TRUE(Ok);
+  } else {
+    T->pauseWorld();
+  }
+  std::atomic<bool> Late{false};
+  T->runOnCpu(1, sim::micros(1), [&] { Late = true; });
+  if (!Sim)
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(Late);
+  EXPECT_FALSE(T->idle());
+  T->resumeWorld();
+  settle();
+  EXPECT_TRUE(Late);
+  EXPECT_TRUE(T->idle());
+}
+
 // The single-writer ring protocol over the raw verbs: spanning records,
 // wrap padding and canary validation deliver the same payload sequence on
 // both backends. This is the quiescent-point protocol check; the
@@ -653,6 +738,127 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values("bank-account", "movie", "auction", "courseware",
                           "project-management", "orset", "shopping-cart")),
     clusterParamName);
+
+//===----------------------------------------------------------------------===//
+// Cluster outstanding counters
+//===----------------------------------------------------------------------===//
+
+/// Calls at every origin in turn, alternating queries and updates.
+std::vector<IssuedCall> mixedCalls(const ObjectType &T, unsigned NumNodes,
+                                   unsigned Count) {
+  const CoordinationSpec &Spec = T.coordination();
+  std::vector<MethodId> Queries;
+  for (MethodId M = 0; M < T.numMethods(); ++M)
+    if (Spec.category(M) == MethodCategory::Query)
+      Queries.push_back(M);
+  std::vector<MethodId> Updates = Spec.updateMethods();
+  sim::Rng R(17);
+  std::vector<IssuedCall> Out;
+  for (unsigned I = 0; I < Count; ++I) {
+    ProcessId P = I % NumNodes;
+    MethodId M = I % 2 ? R.pick(Updates) : R.pick(Queries);
+    Out.push_back({P, T.randomClientCall(M, P, 5000 + I, R)});
+  }
+  return Out;
+}
+
+class ClusterCounterConformance
+    : public ::testing::TestWithParam<TransportKind> {};
+
+TEST_P(ClusterCounterConformance, PerOriginCountsSumAndSettleToZero) {
+  // Submitted with the world paused, no call can complete before the
+  // counts are read: outstanding() is the sum of the per-origin counts,
+  // and updatesOutstanding() counts the updates only.
+  auto Ty = makeType("counter");
+  const unsigned Nodes = 3;
+  ClusterWorld W(GetParam(), Nodes, *Ty, HambandConfig{});
+  std::vector<IssuedCall> Calls = mixedCalls(*Ty, Nodes, 31);
+  std::vector<std::uint64_t> PerOrigin(Nodes, 0);
+  std::uint64_t Updates = 0;
+  std::atomic<unsigned> Done{0};
+  W.C.withPausedWorld([&] {
+    for (const IssuedCall &IC : Calls) {
+      ++PerOrigin[IC.Origin];
+      Updates += Ty->coordination().category(IC.TheCall.Method) !=
+                 MethodCategory::Query;
+      W.C.submit(IC.Origin, IC.TheCall, [&Done](bool, Value) { ++Done; });
+    }
+    std::uint64_t Sum = 0;
+    for (ProcessId P = 0; P < Nodes; ++P) {
+      EXPECT_EQ(W.C.outstandingAt(P), PerOrigin[P]) << "origin " << P;
+      Sum += W.C.outstandingAt(P);
+    }
+    EXPECT_EQ(W.C.outstanding(), Sum);
+    EXPECT_EQ(W.C.outstanding(), Calls.size());
+    EXPECT_EQ(W.C.updatesOutstanding(), Updates);
+    EXPECT_EQ(W.C.liveUpdatesOutstanding(), Updates);
+  });
+  ASSERT_GT(Updates, 0u);
+  ASSERT_LT(Updates, Calls.size());
+  ASSERT_TRUE(W.drain(Done, static_cast<unsigned>(Calls.size())));
+  EXPECT_EQ(W.C.outstanding(), 0u);
+  EXPECT_EQ(W.C.updatesOutstanding(), 0u);
+  EXPECT_EQ(W.C.liveUpdatesOutstanding(), 0u);
+  for (ProcessId P = 0; P < Nodes; ++P)
+    EXPECT_EQ(W.C.outstandingAt(P), 0u) << "origin " << P;
+}
+
+TEST_P(ClusterCounterConformance, LiveUpdatesOutstandingDropsCrashedOrigin) {
+  // Node 2 crashes with its calls still queued: they never complete, so
+  // they stay in outstanding() and updatesOutstanding(), while
+  // liveUpdatesOutstanding() drops them at once and settles to 0 as the
+  // live origins finish theirs.
+  auto Ty = makeType("counter");
+  const unsigned Nodes = 3;
+  ClusterWorld W(GetParam(), Nodes, *Ty, HambandConfig{});
+  std::vector<IssuedCall> Calls = mixedCalls(*Ty, Nodes, 30);
+  std::uint64_t LiveCalls = 0, LiveUpdates = 0, LostCalls = 0,
+                LostUpdates = 0;
+  std::atomic<unsigned> Done{0};
+  W.C.withPausedWorld([&] {
+    for (const IssuedCall &IC : Calls) {
+      bool IsUpdate = Ty->coordination().category(IC.TheCall.Method) !=
+                      MethodCategory::Query;
+      (IC.Origin == 2 ? LostCalls : LiveCalls) += 1;
+      (IC.Origin == 2 ? LostUpdates : LiveUpdates) += IsUpdate;
+      W.C.submit(IC.Origin, IC.TheCall, [&Done](bool, Value) { ++Done; });
+    }
+    W.C.crashNode(2);
+    EXPECT_EQ(W.C.updatesOutstanding(), LiveUpdates + LostUpdates);
+    EXPECT_EQ(W.C.liveUpdatesOutstanding(), LiveUpdates);
+  });
+  ASSERT_GT(LostUpdates, 0u);
+
+  auto Settled = [&] {
+    return Done.load() == LiveCalls && W.C.fullyReplicatedLive();
+  };
+  bool Ok = false;
+  if (sim::Simulator *S = W.sim()) {
+    sim::SimTime Cap = S->now() + sim::millis(500);
+    while (S->now() < Cap && !(Ok = Settled()))
+      S->run(S->now() + sim::micros(20));
+  } else {
+    auto Deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (!Ok && std::chrono::steady_clock::now() < Deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      W.C.withPausedWorld([&] { Ok = Settled(); });
+    }
+    W.C.stopTransport();
+  }
+  ASSERT_TRUE(Ok) << Done.load() << "/" << LiveCalls << " live calls done";
+  EXPECT_EQ(W.C.liveUpdatesOutstanding(), 0u);
+  EXPECT_EQ(W.C.updatesOutstanding(), LostUpdates);
+  EXPECT_EQ(W.C.outstandingAt(2), LostCalls);
+  EXPECT_EQ(W.C.outstanding(), LostCalls);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, ClusterCounterConformance,
+    ::testing::Values(TransportKind::Sim, TransportKind::Shm),
+    [](const ::testing::TestParamInfo<TransportKind> &Info) {
+      return std::string(transportKindName(Info.param));
+    });
 
 //===----------------------------------------------------------------------===//
 // Sim-only feature policy
