@@ -91,13 +91,6 @@ struct DeltaConfig {
   /// a full image instead of a delta (0 = never; gaps then heal only
   /// through backup-slot recovery).
   std::uint32_t AntiEntropyEvery = 64;
-  /// Adaptive anti-entropy backoff (0 = off): after this many consecutive
-  /// full-image ships during which the node observed no delta gap
-  /// (node.delta.gap unchanged), the effective AntiEntropyEvery period
-  /// doubles (capped at 8x). Any observed gap snaps it back to 1x. Quiet,
-  /// loss-free steady states then spend fewer full-image ships while
-  /// lossy phases keep the configured healing cadence (docs/deltas.md).
-  std::uint32_t AdaptiveBackoffRounds = 0;
 };
 
 /// Tunables of the Hamband runtime.
@@ -426,8 +419,6 @@ private:
   void applyToStored(const Call &C);
   bool depsSatisfied(const semantics::DepMap &D) const;
   semantics::DepMap projectDeps(MethodId U) const;
-  void installSummary(unsigned Group, ProcessId From,
-                      const SummaryImage &Img);
   void bumpConfContig(unsigned Group);
 
   // Broadcast recovery.
@@ -493,8 +484,11 @@ private:
   bool tryApplyDeltaFrame(ProcessId Src, const SummaryDeltaFrame &F);
   /// Re-tries buffered frames of (\p G, \p Src) until no more apply.
   void retryBufferedFrames(unsigned G, ProcessId Src);
-  /// Install of a reassembled full image (dedups by version), plus retry
-  /// of buffered frames now unblocked by the version jump.
+  /// The one install rule for a full summary image of (\p G, \p Src),
+  /// whether it arrives through a summary slot, as reassembled chunked
+  /// frames or through broadcast recovery: dedups by version, then
+  /// retries buffered frames now unblocked by the version jump. False
+  /// when the image is not newer than the one installed.
   bool installFullImage(unsigned G, ProcessId Src, SummaryImage Img);
 
   rdma::Transport &Fabric;
@@ -651,18 +645,6 @@ private:
   obs::Counter *CtrCrossEpochApply = nullptr;
   obs::Counter *CtrEpochInstall = nullptr;
 
-  // Adaptive anti-entropy state (docs/deltas.md). GapEvents mirrors the
-  // node.delta.gap counter; the per-group streaks compare against its
-  // value at that group's last full-image ship.
-  std::uint64_t GapEvents = 0;
-  std::vector<std::uint64_t> GapEventsAtFull;   // [group]
-  std::vector<std::uint32_t> AeCleanStreak;     // [group]
-  std::vector<std::uint32_t> AeFactor;          // [group], 1..8
-  obs::Counter *CtrAeBackoff = nullptr;
-  /// Effective anti-entropy period of \p G under the adaptive backoff.
-  std::uint32_t effectiveAntiEntropyEvery(unsigned G) const;
-  /// Streak bookkeeping at a full-image ship of \p G.
-  void noteFullImageShip(unsigned G);
   /// Number of active peers (broadcast fan-out / completion quorum size).
   unsigned activePeerCount() const;
 

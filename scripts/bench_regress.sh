@@ -12,7 +12,7 @@
 #    the sweep is deterministic simulated time, so the gate holds in
 #    smoke runs too);
 #  - delta bytes: every gated fig_bigstate entry (gset and two-phase-set
-#    pre-seeded with --big-elems elements) must ship at least
+#    pre-seeded with a 100k-element summary) must ship at least
 #    --min-delta-bytes-factor (default 5x) fewer transport bytes per
 #    delivered call in delta mode than in full-image mode (the
 #    lww-register entry is the ungated tiny-image contrast case, see
@@ -21,21 +21,22 @@
 #    (docs/reconfig.md) must sustain --min-reconfig-retention (default
 #    0.70x) of steady-state throughput during the membership transition
 #    and return to 95% of the capacity-adjusted steady rate after (the
-#    sweep's op count is pinned inside the tool, so the gate holds in
+#    sweep's op count is pinned in the figure table, so the gate holds in
 #    smoke runs too);
 #  - unbatched no-regression: fig8 throughput must stay within --tolerance
 #    of the committed baseline report, BENCH_pr4.json unless --baseline
 #    points elsewhere (full runs only -- the smoke op count is too small
 #    to compare against a full-run baseline).
 #
-# The report also carries a transport dimension (--transport, default
-# "both"): alongside the simulated-time figures it records fig8_shm /
-# fig8_shm_batched, the same fig8 point deployed on the shared-memory
-# transport where each node is a real OS thread and throughput is
-# wall-clock ops/us (see docs/transport.md). The shm numbers are
-# machine-dependent, so no gate compares them against a baseline; they
-# are recorded so a report shows simulated and measured throughput side
-# by side. All regression gates below act on the sim figures only.
+# --figures selects the report's figures (default "sim,shm"; names and
+# groups as in hamband_bench_report): alongside the simulated-time
+# figures the report records fig8_shm / fig8_shm_batched, the same fig8
+# point deployed on the shared-memory transport where each node is a
+# real OS thread and throughput is wall-clock ops/us (see
+# docs/transport.md). The shm numbers are machine-dependent, so no gate
+# compares them against a baseline; they are recorded so a report shows
+# simulated and measured throughput side by side. All regression gates
+# below act on the sim figures only.
 #
 # The full run (no --smoke) additionally builds the tree with
 # -DHAMBAND_OBS=OFF and asserts that fig8 throughput with the
@@ -49,11 +50,10 @@
 # Usage: scripts/bench_regress.sh [--smoke] [--out FILE] [--baseline FILE]
 #                                 [--ops N] [--reps N] [--tolerance T]
 #                                 [--min-batch-speedup X]
-#                                 [--min-shard-speedup X] [--shards LIST]
-#                                 [--shard-objects N] [--big-elems N]
+#                                 [--min-shard-speedup X]
 #                                 [--min-delta-bytes-factor X]
 #                                 [--min-reconfig-retention X]
-#                                 [--transport sim|shm|both] [build-dir]
+#                                 [--figures LIST] [build-dir]
 
 set -euo pipefail
 
@@ -61,17 +61,14 @@ REPO="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$REPO/build"
 OUT="$REPO/BENCH_pr10.json"
 BASELINE="$REPO/BENCH_pr4.json"
-OPS="${HAMBAND_OPS:-6000}"
-REPS="${HAMBAND_REPS:-1}"
+OPS=6000
+REPS=1
 TOLERANCE=0.05
 MIN_BATCH_SPEEDUP=1.25
 MIN_SHARD_SPEEDUP=2.0
 MIN_DELTA_BYTES_FACTOR=5
 MIN_RECONFIG_RETENTION=0.70
-SHARDS=1,2,4,8
-SHARD_OBJECTS=100000
-BIG_ELEMS=100000
-TRANSPORT=both
+FIGURES=sim,shm
 SMOKE=0
 
 while [ $# -gt 0 ]; do
@@ -86,22 +83,16 @@ while [ $# -gt 0 ]; do
     --min-shard-speedup) MIN_SHARD_SPEEDUP="$2"; shift ;;
     --min-delta-bytes-factor) MIN_DELTA_BYTES_FACTOR="$2"; shift ;;
     --min-reconfig-retention) MIN_RECONFIG_RETENTION="$2"; shift ;;
-    --shards) SHARDS="$2"; shift ;;
-    --shard-objects) SHARD_OBJECTS="$2"; shift ;;
-    --big-elems) BIG_ELEMS="$2"; shift ;;
-    --transport) TRANSPORT="$2"; shift ;;
+    --figures) FIGURES="$2"; shift ;;
     -*) echo "usage: $0 [--smoke] [--out FILE] [--baseline FILE] [--ops N]" \
-             "[--reps N] [--tolerance T] [--transport sim|shm|both]" \
-             "[build-dir]" >&2
+             "[--reps N] [--tolerance T] [--figures LIST] [build-dir]" >&2
         exit 2 ;;
     *) BUILD="$1" ;;
   esac
   shift
 done
 
-REPORT_ARGS=(--ops "$OPS" --reps "$REPS" --transport "$TRANSPORT"
-             --shards "$SHARDS" --shard-objects "$SHARD_OBJECTS"
-             --big-elems "$BIG_ELEMS")
+REPORT_ARGS=(--ops "$OPS" --reps "$REPS" --figures "$FIGURES")
 [ "$SMOKE" = 1 ] && REPORT_ARGS+=(--smoke)
 
 cmake -B "$BUILD" -S "$REPO" >/dev/null
@@ -133,9 +124,7 @@ fi
 # convention).
 BUILD_OFF="${BUILD}-obs-off"
 OUT_OFF="$BUILD_OFF/$(basename "${OUT%.json}")_obs_off.json"
-OFF_ARGS=(--ops "$OPS" --reps "$REPS" --transport sim
-          --shards "$SHARDS" --shard-objects "$SHARD_OBJECTS"
-          --big-elems "$BIG_ELEMS")
+OFF_ARGS=(--ops "$OPS" --reps "$REPS" --figures sim)
 cmake -B "$BUILD_OFF" -S "$REPO" -DHAMBAND_OBS=OFF >/dev/null
 cmake --build "$BUILD_OFF" -j"$(nproc)" --target hamband_bench_report
 "$BUILD_OFF/tools/hamband_bench_report" "${OFF_ARGS[@]}" --out "$OUT_OFF"

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus fault-schedule fuzz smokes (baseline, batched
-# twin, delta twin), the benchmark's own tests, the bounded
+# twin, delta twin), the bench report and paper-figure smokes, the
+# benchmark's own tests, the bounded
 # coordination-verifier gate (including keyed-lift preservation), the
 # hamband_mc exhaustive small-scope sweep (plus a delta-mode exploration),
 # a TSan flavor (threaded obs mutation, shm ring stress, the shm
@@ -47,6 +48,14 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"
 "$REPO/scripts/bench_regress.sh" --smoke --out "$BUILD/BENCH_smoke.json" \
   "$BUILD"
 "$BUILD/tools/hamband_bench_report" --check "$BUILD/BENCH_smoke.json"
+
+# Paper-figure smoke: every Section 5 point (Figs. 8-13, the ablations and
+# the headline aggregate) runs through the figure driver at a tiny op
+# count (fig10's op-count axis stays pinned). The driver exits nonzero
+# when any row reports completed: false.
+echo "ci: paper figures (hamband_bench_report --figures paper --ops 600)"
+"$BUILD/tools/hamband_bench_report" --figures paper --ops 600 \
+  --out "$BUILD/FIGURES_smoke.json"
 
 # The repository benchmark's own tests (perfbench/): smoke runs of every
 # BENCHMARK.json workload with and without tracing, same-seed determinism

@@ -15,8 +15,6 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -184,8 +182,6 @@ RunResult benchlib::runOnce(const ObjectType &Type,
   const CoordinationSpec &Spec = RT->objectType().coordination();
   WorkloadSpec W = Workload;
   W.Seed = Seed;
-  if (std::uint64_t Override = opsOverrideFromEnv())
-    W.NumOps = Override;
 
   auto State = std::make_shared<DriverState>();
   std::vector<std::unique_ptr<CallGenerator>> Gens;
@@ -524,16 +520,6 @@ RunResult benchlib::runOnce(const ObjectType &Type,
     R.MaxResponseUs = State->RespSamples.back();
   }
   if (DoReconfig && State->ReconfigTriggered) {
-    if (std::getenv("HAMBAND_RECONFIG_DEBUG"))
-      std::fprintf(stderr,
-                   "reconfig-debug: start=%lld transStart=%lld transEnd=%lld "
-                   "lastDone=%lld end=%lld phases=%llu/%llu/%llu retries=%llu\n",
-                   (long long)StartT, (long long)State->TransStartT,
-                   (long long)State->TransEndT, (long long)State->LastDoneT,
-                   (long long)EndT, (unsigned long long)State->PhaseCompleted[0],
-                   (unsigned long long)State->PhaseCompleted[1],
-                   (unsigned long long)State->PhaseCompleted[2],
-                   (unsigned long long)State->WrongEpochRetries);
     R.ReconfigInstalled = State->ReconfigInstalled;
     R.WrongEpochRetries = State->WrongEpochRetries;
     double SteadyUs = sim::toMicros(State->TransStartT - StartT);

@@ -131,7 +131,6 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   CtrCrossEpochDrop = &Stats.counter("reconfig.cross_epoch_drop");
   CtrCrossEpochApply = &Stats.counter("reconfig.cross_epoch_apply");
   CtrEpochInstall = &Stats.counter("reconfig.installs");
-  CtrAeBackoff = &Stats.counter("node.delta.ae_backoff");
 
   // Membership-reconfiguration state. With the feature off everything
   // stays at its identity value (epoch 0, empty mask, unprotected key)
@@ -161,9 +160,6 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   PendingDelta.assign(SumGroups, std::nullopt);
   DeltaShippedSeq.assign(SumGroups, 0);
   DeltaFlushesSinceFull.assign(SumGroups, 0);
-  GapEventsAtFull.assign(SumGroups, 0);
-  AeCleanStreak.assign(SumGroups, 0);
-  AeFactor.assign(SumGroups, 1);
   BufferedFrames.assign(SumGroups,
                         std::vector<std::deque<SummaryDeltaFrame>>(N));
   Assemblies.assign(SumGroups, std::vector<ChunkAssembly>(N));
@@ -1036,25 +1032,11 @@ unsigned HambandNode::pollSummaries() {
       SummaryImage Img;
       if (!decodeSummary(Slot.data() + 4, Len, Img))
         continue;
-      installSummary(G, Src, Img);
+      installFullImage(G, Src, std::move(Img));
       ++Parsed;
     }
   }
   return Parsed;
-}
-
-void HambandNode::installSummary(unsigned Group, ProcessId From,
-                                 const SummaryImage &Img) {
-  if (Img.Seq <= SummarySeqSeen[Group][From])
-    return;
-  SummaryCache[Group][From] = Img.Summary;
-  SummarySeqSeen[Group][From] = Img.Seq;
-  for (const auto &[U, N] : Img.AppliedCounts)
-    if (N > Applied[From][U])
-      Applied[From][U] = N;
-  VisibleDirty = true;
-  // The version may have leapt over buffered delta frames; drain them.
-  retryBufferedFrames(Group, From);
 }
 
 // -- Delta propagation (docs/deltas.md) --------------------------------------
@@ -1222,7 +1204,6 @@ bool HambandNode::handleSummaryFrame(ProcessId Src,
   // Version gap: park the frame until the gap closes or anti-entropy
   // leapfrogs it.
   CtrDeltaGap->add();
-  ++GapEvents;
   auto &Buf = BufferedFrames[G][Src];
   if (Buf.size() >= BufferedFrameCap) {
     CtrDeltaDropped->add();
@@ -1297,6 +1278,7 @@ bool HambandNode::installFullImage(unsigned G, ProcessId Src,
   // A full install replaces the cached image wholesale; the incremental
   // shortcut does not apply (the delta from the old image is unknown).
   VisibleDirty = true;
+  // The version may have leapt over buffered delta frames; drain them.
   retryBufferedFrames(G, Src);
   return true;
 }
@@ -1625,7 +1607,7 @@ void HambandNode::flushBatches(FlushCause Cause) {
 
     bool AntiEntropyDue =
         Cfg.Delta.AntiEntropyEvery > 0 &&
-        DeltaFlushesSinceFull[G] + 1 >= effectiveAntiEntropyEvery(G);
+        DeltaFlushesSinceFull[G] + 1 >= Cfg.Delta.AntiEntropyEvery;
     bool ShipFull = AntiEntropyDue;
     if (!ShipFull) {
       assert(PendingDelta[G] && "dirty group without a pending delta");
@@ -1654,7 +1636,6 @@ void HambandNode::flushBatches(FlushCause Cause) {
         FullFrames.push_back(std::move(FB));
       CtrDeltaFullOut->add();
       DeltaFlushesSinceFull[G] = 0;
-      noteFullImageShip(G);
     }
     DeltaShippedSeq[G] = OwnSummarySeq[G];
     PendingDelta[G].reset();
@@ -1811,7 +1792,7 @@ void HambandNode::onPeerSuspected(rdma::NodeId Peer) {
           continue;
         if (G < SummaryCache.size() &&
             SImg.Seq > SummarySeqSeen[G][Peer]) {
-          installSummary(G, Peer, SImg);
+          installFullImage(G, Peer, std::move(SImg));
           ++NumRecovered;
           CtrRecovered->add();
         }
@@ -1892,33 +1873,6 @@ unsigned HambandNode::activePeerCount() const {
     if (P != Self && Active[P] != 0)
       ++C;
   return C;
-}
-
-std::uint32_t HambandNode::effectiveAntiEntropyEvery(unsigned G) const {
-  std::uint32_t Base = Cfg.Delta.AntiEntropyEvery;
-  if (Base == 0 || Cfg.Delta.AdaptiveBackoffRounds == 0)
-    return Base;
-  return Base * AeFactor[G];
-}
-
-void HambandNode::noteFullImageShip(unsigned G) {
-  if (Cfg.Delta.AdaptiveBackoffRounds == 0)
-    return;
-  if (GapEvents == GapEventsAtFull[G]) {
-    // No receive gap observed since this group's last full ship: the
-    // fabric looks loss-free, anti-entropy can afford a longer period.
-    if (++AeCleanStreak[G] >= Cfg.Delta.AdaptiveBackoffRounds &&
-        AeFactor[G] < 8) {
-      AeFactor[G] *= 2;
-      AeCleanStreak[G] = 0;
-      CtrAeBackoff->add();
-    }
-  } else {
-    // A gap appeared: snap straight back to the configured period.
-    AeCleanStreak[G] = 0;
-    AeFactor[G] = 1;
-  }
-  GapEventsAtFull[G] = GapEvents;
 }
 
 TransferImage HambandNode::buildTransferImage(

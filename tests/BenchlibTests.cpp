@@ -4,13 +4,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "hamband/benchlib/Figures.h"
 #include "hamband/benchlib/Runner.h"
 #include "hamband/core/TypeRegistry.h"
 #include "hamband/types/Counter.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <map>
+#include <set>
 
 using namespace hamband;
 using namespace hamband::benchlib;
@@ -200,27 +202,6 @@ TEST(RuntimeKindNames, AreStable) {
   EXPECT_STREQ(runtimeKindName(RuntimeKind::MuSmr), "mu");
 }
 
-TEST(OpsOverride, ReadsEnvironment) {
-  ASSERT_EQ(unsetenv("HAMBAND_OPS"), 0);
-  EXPECT_EQ(opsOverrideFromEnv(), 0u);
-  ASSERT_EQ(setenv("HAMBAND_OPS", "1234", 1), 0);
-  EXPECT_EQ(opsOverrideFromEnv(), 1234u);
-  ASSERT_EQ(setenv("HAMBAND_OPS", "", 1), 0);
-  EXPECT_EQ(opsOverrideFromEnv(), 0u);
-  unsetenv("HAMBAND_OPS");
-}
-
-TEST(OpsOverride, RunnerHonoursIt) {
-  Counter T;
-  WorkloadSpec W = quickWorkload();
-  W.NumOps = 50000; // Overridden below.
-  ASSERT_EQ(setenv("HAMBAND_OPS", "300", 1), 0);
-  RunResult R = runOnce(T, W, quickOpts(RuntimeKind::Hamband), 1);
-  unsetenv("HAMBAND_OPS");
-  EXPECT_TRUE(R.Completed);
-  EXPECT_EQ(R.CompletedOps, 300u);
-}
-
 TEST(Runner, QueriesOnlyWorkloadCompletes) {
   Counter T;
   WorkloadSpec W = quickWorkload();
@@ -274,4 +255,80 @@ TEST(Runner, ShmCounterRunCompletesAndConverges) {
     EXPECT_EQ(R.CompletedOps, 4000u) << "MaxCalls " << MaxCalls;
     EXPECT_EQ(R.RejectedOps, 0u) << "MaxCalls " << MaxCalls;
   }
+}
+
+TEST(FigureTable, NamesUniqueAndPinnedRowsKeepTheirOpCounts) {
+  const std::vector<Figure> Base = figureTable();
+  std::set<std::string> Figs, Rows;
+  std::map<std::string, std::uint64_t> PinnedOps;
+  for (const Figure &F : Base) {
+    EXPECT_TRUE(Figs.insert(F.Name).second) << "duplicate figure " << F.Name;
+    EXPECT_FALSE(F.Rows.empty()) << F.Name;
+    for (const FigureRow &R : F.Rows) {
+      EXPECT_TRUE(Rows.insert(R.Label).second) << "duplicate row " << R.Label;
+      if (R.Pinned)
+        PinnedOps[R.Label] = R.Workload.NumOps;
+    }
+  }
+  // The eight former per-figure binaries and the gated report sections.
+  for (const char *Name :
+       {"fig8", "fig8_batched", "fig9", "fig_shard", "fig_bigstate",
+        "fig_reconfig", "fig8_shm", "fig8_shm_batched", "fig8_reduction",
+        "fig9_buffering", "fig10_sync_groups", "fig11_mixed_schema",
+        "fig12_failure_crdts", "fig13_failure_courseware", "ablations",
+        "headline"})
+    EXPECT_EQ(Figs.count(Name), 1u) << Name;
+
+  // Fig. 10's x-axis is the op count: its three sizes stay distinct.
+  std::set<std::uint64_t> Fig10Ops;
+  for (const Figure &F : Base)
+    if (F.Name == "fig10_sync_groups")
+      for (const FigureRow &R : F.Rows) {
+        EXPECT_TRUE(R.Pinned) << R.Label;
+        Fig10Ops.insert(R.Workload.NumOps);
+      }
+  EXPECT_EQ(Fig10Ops, (std::set<std::uint64_t>{20000, 40000, 80000}));
+
+  // No --ops scale resizes a pinned row; unpinned rows take the scale.
+  for (std::uint64_t Ops : {1ull, 600ull, 3000ull, 1000000ull}) {
+    for (const Figure &F : figureTable(TableScale{Ops, false, 1}))
+      for (const FigureRow &R : F.Rows) {
+        if (!R.Pinned) {
+          EXPECT_EQ(R.Workload.NumOps, Ops) << R.Label;
+          continue;
+        }
+        EXPECT_EQ(R.Workload.NumOps, PinnedOps[R.Label]) << R.Label;
+      }
+  }
+  // fig10, fig_reconfig, fig_bigstate and the shm points are pinned.
+  for (const Figure &F : Base) {
+    bool MustPin = F.Name == "fig10_sync_groups" ||
+                   F.Name == "fig_reconfig" || F.Name == "fig_bigstate" ||
+                   F.Group == "shm";
+    for (const FigureRow &R : F.Rows)
+      EXPECT_TRUE(!MustPin || R.Pinned) << R.Label;
+  }
+
+  // A smoke table caps unpinned rows and keeps the pinned reconfig and
+  // shm windows; the big-state run shrinks to its own smoke size.
+  for (const Figure &F : figureTable(TableScale{0, true, 1}))
+    for (const FigureRow &R : F.Rows) {
+      if (!R.Pinned) {
+        EXPECT_LE(R.Workload.NumOps, SmokeOps) << R.Label;
+        continue;
+      }
+      std::uint64_t Want =
+          F.Name == "fig_bigstate" ? 60 : PinnedOps[R.Label];
+      EXPECT_EQ(R.Workload.NumOps, Want) << R.Label;
+    }
+
+  // The wall-clock shm rows run at least 60k calls (>= 100 ms at about
+  // 0.5 ops/us) so host noise does not swamp a point.
+  for (const Figure &F : Base)
+    for (const FigureRow &R : F.Rows) {
+      if (F.Group != "shm")
+        continue;
+      EXPECT_EQ(R.Options.Transport, rdma::TransportKind::Shm) << R.Label;
+      EXPECT_GE(R.Workload.NumOps, 60000u) << R.Label;
+    }
 }

@@ -450,45 +450,18 @@ TEST(ReconfigCrash, CoordinatorCrashEarlyAborts) {
 }
 
 //===----------------------------------------------------------------------===//
-// Adaptive anti-entropy backoff (satellite)
+// Anti-entropy cadence
 //===----------------------------------------------------------------------===//
 
-TEST(AdaptiveAntiEntropy, QuietRunBacksOffFullImageShips) {
-  // With the backoff enabled on a loss-free run, consecutive clean
-  // full-image ships must double the effective period: the backoff
-  // counter advances and fewer full images ship than the fixed-period
-  // configuration would.
-  sim::Simulator Sim;
-  auto T = makeType("gset");
-  HambandConfig Cfg;
-  Cfg.Delta.Enabled = true;
-  Cfg.Delta.AntiEntropyEvery = 2;
-  Cfg.Delta.AdaptiveBackoffRounds = 2;
-  HambandCluster C(Sim, 3, *T, {}, Cfg);
-  C.start();
-
-  unsigned Acks = 0;
-  for (unsigned I = 0; I < 60; ++I) {
-    C.submit(0, Call(0 /*add*/, {Value(I)}, 0, 100 + I),
-             [&](bool, Value) { ++Acks; });
-    Sim.run(Sim.now() + sim::micros(30));
-  }
-  ASSERT_TRUE(runUntil(Sim, [&] { return Acks == 60 && C.fullyReplicated(); }));
-  EXPECT_TRUE(C.converged());
-
-  // The issuer observed enough clean anti-entropy rounds to back off at
-  // least once, and no gap ever snapped it back.
-  EXPECT_GE(C.node(0).statsSnapshot().counter("node.delta.ae_backoff"), 1u);
-  EXPECT_EQ(clusterCounter(C, "node.delta.gap"), 0u);
-}
-
 TEST(AdaptiveAntiEntropy, DisabledByDefaultKeepsFixedCadence) {
+  // The anti-entropy period is fixed: with AntiEntropyEvery = 2 every
+  // second flush of the issuer's group ships a full image and the others
+  // ship deltas, however quiet the run.
   sim::Simulator Sim;
   auto T = makeType("gset");
   HambandConfig Cfg;
   Cfg.Delta.Enabled = true;
   Cfg.Delta.AntiEntropyEvery = 2;
-  // AdaptiveBackoffRounds stays 0: the counter must never move.
   HambandCluster C(Sim, 3, *T, {}, Cfg);
   C.start();
   unsigned Acks = 0;
@@ -498,5 +471,8 @@ TEST(AdaptiveAntiEntropy, DisabledByDefaultKeepsFixedCadence) {
     Sim.run(Sim.now() + sim::micros(30));
   }
   ASSERT_TRUE(runUntil(Sim, [&] { return Acks == 40 && C.fullyReplicated(); }));
-  EXPECT_EQ(clusterCounter(C, "node.delta.ae_backoff"), 0u);
+  obs::StatsSnapshot S = C.node(0).statsSnapshot();
+  EXPECT_EQ(S.counter("node.delta.full_out"), 20u);
+  EXPECT_EQ(S.counter("node.delta.out"), 20u);
+  EXPECT_EQ(clusterCounter(C, "node.delta.gap"), 0u);
 }

@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 
 using namespace hamband;
 using namespace hamband::benchlib;
@@ -39,8 +38,6 @@ struct Golden {
 
 RunResult runPinned(const std::string &TypeName, const WorkloadSpec &W,
                     const runtime::HambandConfig &Cfg) {
-  // The ops override would silently resize the pinned workloads.
-  unsetenv("HAMBAND_OPS");
   auto Type = makeType(TypeName);
   RunnerOptions RO;
   RO.Kind = RuntimeKind::Hamband;

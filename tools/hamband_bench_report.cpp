@@ -1,17 +1,16 @@
-//===- tools/hamband_bench_report.cpp - Regression bench report -----------===//
+//===- tools/hamband_bench_report.cpp - The figure driver -----------------===//
 //
 // Part of the Hamband reproduction project. MIT license.
 //
 //===----------------------------------------------------------------------===//
 //
-// Runs the headline figure points (fig8 reduction throughput on the
-// counter -- unbatched and with reduction-aware call batching -- and fig9
-// buffering latency on the ORSet) through benchlib and emits a
-// machine-readable hamband-bench-v1 JSON report:
+// Runs figures of the benchlib figure table (benchlib/Figures.h) and
+// emits them as one machine-readable hamband-bench-v1 JSON report:
 //
-//   hamband_bench_report --out BENCH.json          # run and emit
-//   hamband_bench_report --smoke --out BENCH.json  # tiny op count for CI
-//   hamband_bench_report --transport both --out B.json  # + shm wall-clock
+//   hamband_bench_report --out BENCH.json          # the gated sim sections
+//   hamband_bench_report --smoke --out BENCH.json  # CI-sized op counts
+//   hamband_bench_report --figures sim,shm --out B.json  # + shm wall-clock
+//   hamband_bench_report --figures paper --out F.json    # Section 5 figures
 //   hamband_bench_report --check BENCH.json        # validate a report
 //   hamband_bench_report --check BENCH.json --min-batch-speedup 1.25
 //   hamband_bench_report --check BENCH.json --min-shard-speedup 2.0
@@ -19,47 +18,40 @@
 //   hamband_bench_report --check BENCH.json --min-reconfig-retention 0.70
 //   hamband_bench_report --compare A.json B.json --tolerance 0.05
 //
-// --transport selects the backend dimension: "sim" (default) emits the
-// simulated-time figures fig8/fig8_batched/fig9 plus the fig_shard
-// sharding sweep; "shm" emits only the wall-clock shared-memory points
-// fig8_shm/fig8_shm_batched; "both" emits all sections side by side.
+// --figures takes a comma-separated list of figure names (fig8,
+// fig8_batched, fig9, fig_shard, fig_bigstate, fig_reconfig, fig8_shm,
+// fig8_shm_batched, fig8_reduction, fig9_buffering, fig10_sync_groups,
+// fig11_mixed_schema, fig12_failure_crdts, fig13_failure_courseware,
+// ablations, headline), group names (sim, shm, paper) or "all"; the
+// default is "sim". Sections appear in table order. --ops replaces the op
+// count of every unpinned row (default: each row's own; the gated rows
+// run 6000), --smoke caps unpinned rows at 600 calls and shrinks the
+// keyspace and big-state sweeps, --reps averages repetitions per row.
 //
-// The fig_shard sweep measures keyspace scaling: a conflicting-call
-// workload (movie addCustomer/deleteCustomer -- one sync group, so the
-// unsharded cluster funnels every call through a single leader node)
-// over --shard-objects distinct objects, run at 1/2/4/8 shards, plus
-// one zipfian hot-key companion point at the top shard count. --check
-// with --min-shard-speedup gates the top-shard-count throughput against
-// the 1-shard figure. The shm numbers measure real
-// threads on real memory and depend on the host's core count, so they
-// are recorded for trend-watching but never gated on a speedup floor,
-// and --compare only ever examines the sim fig8 section.
-//
-// The fig_bigstate sweep measures what delta-state propagation
-// (docs/deltas.md) buys on large resident state: each replica is
-// pre-seeded with a --big-elems-element summary (gset and two-phase-set;
-// HambandCluster::seedReducibleState), then an update-only workload runs
-// with full-image shipping and again with delta shipping, recording
-// rdma.bytes_written per delivered call. --check with
-// --min-delta-bytes-factor gates the full/delta bytes-per-call ratio of
-// every seeded entry. The lww-register companion entry is the contrast
-// case -- its image is a single stamped value, so deltas cannot help --
-// and is recorded ungated.
-//
-// The fig_reconfig sweep measures online membership reconfiguration
-// (docs/reconfig.md): the fig8 counter point runs with a membership
-// transition triggered at 40% of issued ops -- "add" provisions the
-// fourth node as a standby and joins it mid-run, "remove" retires the
-// last serving node -- and the report records the throughput split
-// around the transition (steady / during / after) plus the transition
-// length and the number of closed-epoch client retries. --check with
-// --min-reconfig-retention gates the during-transition throughput
-// against the steady rate and requires the post-transition rate to
-// recover to 95% of the capacity-adjusted steady rate (a removal takes
-// a serving node's capacity with it; an addition must at least hold
-// steady). The sweep's op count is pinned (not --ops/--smoke scaled):
-// the after-phase average needs a long window to amortize the
-// pipeline-refill dip right after reopen.
+// Every row runs through one loop -- run, percentiles, pointToJson -- and
+// a few sections post-process their rows' results:
+//  - fig_shard: the keyspace scaling sweep (movie conflicting calls over
+//    a large keyspace at 1/2/4/8 shards) plus a zipfian hot-key companion;
+//    --min-shard-speedup gates the top-shard-count throughput against the
+//    1-shard point.
+//  - fig_bigstate: bytes shipped per delivered call (rdma.bytes_written)
+//    with a big pre-seeded summary, full-image vs delta mode
+//    (docs/deltas.md); --min-delta-bytes-factor gates the full/delta
+//    ratio of the seeded types, lww-register is the ungated contrast. The
+//    section needs the transport's byte counter, so an HAMBAND_OBS=OFF
+//    build omits it.
+//  - fig_reconfig: throughput split around an online membership
+//    transition at 40% of issued ops (docs/reconfig.md);
+//    --min-reconfig-retention gates the during-transition rate against
+//    steady and requires the after rate to recover to 95% of the
+//    capacity-adjusted steady rate.
+//  - the paper figures: every point also carries the exact driver
+//    percentiles, staleness and per-method means; headline adds the
+//    Hamband/MSG and Hamband/Mu ratio aggregate.
+// The shm points measure real threads on real memory and depend on the
+// host's core count, so they are recorded for trend-watching but never
+// gated on a speedup floor, and --compare only ever examines the sim fig8
+// section.
 //
 // Latency percentiles come from the merged per-node node.resp_ns
 // histograms when the observability layer is compiled in, with the
@@ -70,15 +62,12 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "hamband/benchlib/Runner.h"
-#include "hamband/core/TypeRegistry.h"
+#include "hamband/benchlib/Figures.h"
 #include "hamband/obs/Json.h"
-#include "hamband/runtime/HambandCluster.h"
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -90,9 +79,12 @@ namespace json = hamband::obs::json;
 namespace {
 
 struct Options {
-  std::uint64_t Ops = 6000;
+  /// 0 = every row's own op count.
+  std::uint64_t Ops = 0;
   unsigned Reps = 1;
   bool Smoke = false;
+  /// Comma-separated figure names, group names or "all".
+  std::string Figures = "sim";
   std::string Out;        // Empty = stdout.
   std::string CheckFile;  // --check mode.
   std::string CompareA;   // --compare mode.
@@ -114,14 +106,6 @@ struct Options {
   /// throughput, and its after-transition throughput to recover to 95%
   /// of steady (0 = no gate).
   double MinReconfigRetention = 0;
-  /// Backend dimension: "sim", "shm", or "both".
-  std::string Transport = "sim";
-  /// Shard counts for the fig_shard sweep (sim only; empty disables it).
-  std::vector<unsigned> Shards = {1, 2, 4, 8};
-  /// Distinct objects in the fig_shard keyspace.
-  std::uint64_t ShardObjects = 100000;
-  /// Pre-seeded summary size for the fig_bigstate sweep (0 disables it).
-  std::uint64_t BigElems = 100000;
 };
 
 /// One figure point: the workload result plus the percentile source.
@@ -133,11 +117,13 @@ struct PointReport {
   const char *Source = "driver";
 };
 
-/// Fills the percentile fields from the run. Prefers the runtime's own
+/// Runs a row and fills the percentile fields. Prefers the runtime's own
 /// histogram: it is what production deployments would export. The
-/// driver's exact samples remain the fallback for HAMBAND_OBS=OFF
-/// builds.
-void fillPercentiles(PointReport &P) {
+/// driver's exact samples remain the fallback for HAMBAND_OBS=OFF builds
+/// and for the baselines, which keep no histogram.
+PointReport runRow(const FigureRow &Row) {
+  PointReport P;
+  P.R = runFigureRow(Row);
   if (const obs::HistogramSnapshot *H =
           P.R.ClusterStats.histogram("node.resp_ns")) {
     if (H->Count) {
@@ -145,163 +131,245 @@ void fillPercentiles(PointReport &P) {
       P.P99Us = static_cast<double>(H->quantile(0.99)) / 1000.0;
       P.MaxUs = static_cast<double>(H->Max) / 1000.0;
       P.Source = "obs";
-      return;
+      return P;
     }
   }
   P.P50Us = P.R.P50ResponseUs;
   P.P99Us = P.R.P99ResponseUs;
   P.MaxUs = P.R.MaxResponseUs;
-}
-
-PointReport runFigPoint(const std::string &TypeName, unsigned Nodes,
-                        double UpdateRatio, const Options &Opt,
-                        bool Batched = false,
-                        rdma::TransportKind Transport =
-                            rdma::TransportKind::Sim) {
-  auto Type = makeType(TypeName);
-  WorkloadSpec W;
-  W.NumOps = Opt.Ops;
-  W.UpdateRatio = UpdateRatio;
-  RunnerOptions RO;
-  RO.Kind = RuntimeKind::Hamband;
-  RO.NumNodes = Nodes;
-  RO.Repetitions = Opt.Reps;
-  RO.Cfg.Batch.MaxCalls = Batched ? 16 : 1;
-  RO.Transport = Transport;
-
-  PointReport P;
-  P.R = runWorkload(*Type, W, RO);
-  fillPercentiles(P);
   return P;
 }
 
-/// One fig_shard sweep entry: the movie conflicting-call workload
-/// (addCustomer/deleteCustomer only -- a single sync group, so the
-/// 1-shard baseline is bottlenecked on one leader node) over a keyspace
-/// of Opt.ShardObjects objects, deployed at the given shard count.
-PointReport runShardPoint(unsigned Shards, double ZipfSkew,
-                          const Options &Opt) {
-  auto Type = makeType("movie");
-  WorkloadSpec W;
-  W.NumOps = Opt.Ops;
-  W.UpdateRatio = 1.0;
-  W.UpdateMethods = {0, 1}; // addCustomer, deleteCustomer.
-  W.NumObjects = Opt.ShardObjects;
-  W.ZipfSkew = ZipfSkew;
-  RunnerOptions RO;
-  RO.Kind = RuntimeKind::Hamband;
-  RO.NumNodes = 4;
-  RO.Repetitions = Opt.Reps;
-  RO.Transport = rdma::TransportKind::Sim;
-  RO.NumShards = Shards;
+json::Value num(double D) { return json::Value::makeDouble(D); }
+json::Value count(std::uint64_t U) { return json::Value::makeUInt(U); }
+json::Value str(const std::string &S) { return json::Value::makeString(S); }
 
-  PointReport P;
-  P.R = runWorkload(*Type, W, RO);
-  fillPercentiles(P);
-  return P;
-}
-
-/// One fig_reconfig point: the fig8 counter workload with an online
-/// membership transition triggered at 40% of issued ops. "add" runs 4
-/// provisioned / 3 serving nodes and joins the standby mid-run;
-/// "remove" runs 4 serving nodes and retires the last one. The driver
-/// splits throughput around the transition and retries closed-epoch
-/// rejections, so the point measures what clients see across the fence.
-PointReport runReconfigPoint(const char *Action, const Options &Opt) {
-  auto Type = makeType("counter");
-  WorkloadSpec W;
-  // Pinned independently of --ops/--smoke: the retention measurement
-  // needs a long post-transition window so the pipeline-refill dip
-  // right after reopen amortizes into the after-phase average. The run
-  // is deterministic simulated time, so the extra ops cost wall clock
-  // only.
-  W.NumOps = 24000;
-  W.UpdateRatio = 0.25;
-  RunnerOptions RO;
-  RO.Kind = RuntimeKind::Hamband;
-  RO.NumNodes = 4;
-  RO.Repetitions = Opt.Reps;
-  RO.Transport = rdma::TransportKind::Sim;
-  RO.ReconfigAction = Action;
-
-  PointReport P;
-  P.R = runWorkload(*Type, W, RO);
-  fillPercentiles(P);
-  return P;
-}
-
-/// One fig_bigstate mode point: the update-only workload over a seeded
-/// big state, plus the transport bytes it shipped per delivered call.
-struct BigStatePoint {
-  PointReport P;
-  std::uint64_t BytesWritten = 0;
-  double BytesPerCall = 0;
-};
-
-/// Runs the fig_bigstate workload for one (type, mode) cell. With
-/// \p Elems > 0 every replica's sum-group-0 summary is pre-seeded with
-/// the elements {0..Elems-1} for every source, so a call issued at any
-/// node makes that node re-ship an Elems-sized image in full-image mode.
-/// Repetitions are pinned to 1: the run is deterministic simulated time,
-/// and bytes_per_call divides one run's rdma.bytes_written by that same
-/// run's delivered-call count.
-BigStatePoint runBigStatePoint(const std::string &TypeName,
-                               std::uint64_t Elems, bool Deltas,
-                               const Options &Opt) {
-  auto Type = makeType(TypeName);
-  WorkloadSpec W;
-  W.NumOps = Opt.Smoke ? 60 : 240;
-  W.UpdateRatio = 1.0;
-  W.UpdateMethods = {
-      Type->methodId(TypeName == "lww-register" ? "write" : "add")};
-  RunnerOptions RO;
-  RO.Kind = RuntimeKind::Hamband;
-  RO.NumNodes = 4;
-  RO.Repetitions = 1;
-  RO.Transport = rdma::TransportKind::Sim;
-  RO.Cfg.Delta.Enabled = Deltas;
-  if (Elems) {
-    MethodId Add = Type->methodId("add");
-    RO.PreSeed = [&, Add](runtime::HambandCluster &C) {
-      std::vector<Value> Seed;
-      Seed.reserve(Elems);
-      for (std::uint64_t I = 0; I < Elems; ++I)
-        Seed.push_back(static_cast<Value>(I));
-      for (unsigned N = 0; N < RO.NumNodes; ++N)
-        C.seedReducibleState(
-            /*Group=*/0, /*Issuer=*/N,
-            Call(Add, Seed, static_cast<ProcessId>(N), /*Req=*/0), Elems);
-    };
-  }
-  BigStatePoint B;
-  B.P.R = runWorkload(*Type, W, RO);
-  fillPercentiles(B.P);
-  B.BytesWritten = B.P.R.ClusterStats.counter("rdma.bytes_written");
-  if (B.P.R.CompletedOps)
-    B.BytesPerCall = static_cast<double>(B.BytesWritten) /
-                     static_cast<double>(B.P.R.CompletedOps);
-  return B;
-}
-
-json::Value pointToJson(const std::string &TypeName, unsigned Nodes,
-                        double UpdateRatio, const PointReport &P,
-                        const char *Transport = "sim") {
+json::Value pointToJson(const FigureRow &Row, const PointReport &P) {
   json::Value O = json::Value::makeObject();
-  O.add("type", json::Value::makeString(TypeName));
-  O.add("transport", json::Value::makeString(Transport));
-  O.add("nodes", json::Value::makeUInt(Nodes));
-  O.add("update_pct", json::Value::makeDouble(UpdateRatio * 100.0));
-  O.add("throughput_ops_us",
-        json::Value::makeDouble(P.R.ThroughputOpsPerUs));
-  O.add("mean_response_us", json::Value::makeDouble(P.R.MeanResponseUs));
-  O.add("p50_response_us", json::Value::makeDouble(P.P50Us));
-  O.add("p99_response_us", json::Value::makeDouble(P.P99Us));
-  O.add("max_response_us", json::Value::makeDouble(P.MaxUs));
-  O.add("percentile_source", json::Value::makeString(P.Source));
-  O.add("completed_ops", json::Value::makeUInt(P.R.CompletedOps));
+  O.add("type", str(Row.TypeName));
+  O.add("transport", str(rdma::transportKindName(Row.Options.Transport)));
+  O.add("nodes", count(Row.Options.NumNodes));
+  O.add("update_pct", num(Row.Workload.UpdateRatio * 100.0));
+  O.add("throughput_ops_us", num(P.R.ThroughputOpsPerUs));
+  O.add("mean_response_us", num(P.R.MeanResponseUs));
+  O.add("p50_response_us", num(P.P50Us));
+  O.add("p99_response_us", num(P.P99Us));
+  O.add("max_response_us", num(P.MaxUs));
+  O.add("percentile_source", str(P.Source));
+  O.add("completed_ops", count(P.R.CompletedOps));
   O.add("completed", json::Value::makeBool(P.R.Completed));
   return O;
 }
+
+/// fig8/fig8_batched/fig9 and the shm twins: the one row itself.
+json::Value pointSection(const FigureRow &Row, const PointReport &P) {
+  json::Value J = pointToJson(Row, P);
+  if (Row.Options.Cfg.Batch.MaxCalls > 1)
+    J.add("batched", json::Value::makeBool(true));
+  return J;
+}
+
+/// fig_shard: the uniform sweep as points, the zipfian row as zipf.
+json::Value shardSection(const Figure &F, const std::vector<PointReport> &Ps,
+                         FILE *Log) {
+  const FigureRow &First = F.Rows.front();
+  json::Value Sweep = json::Value::makeObject();
+  Sweep.add("type", str(First.TypeName));
+  Sweep.add("nodes", count(First.Options.NumNodes));
+  Sweep.add("objects", count(First.Workload.NumObjects));
+  json::Value Points = json::Value::makeArray();
+  double Shard1Tput = 0, TopTput = 0;
+  unsigned TopShards = 0;
+  for (std::size_t I = 0; I < F.Rows.size(); ++I) {
+    const FigureRow &Row = F.Rows[I];
+    json::Value PJ = pointToJson(Row, Ps[I]);
+    PJ.add("shards", count(Row.Options.NumShards));
+    PJ.add("objects", count(Row.Workload.NumObjects));
+    PJ.add("zipf_skew", num(Row.Workload.ZipfSkew));
+    if (Row.Workload.ZipfSkew > 0) {
+      Sweep.add("points", std::move(Points));
+      Sweep.add("zipf", std::move(PJ));
+      continue;
+    }
+    Points.Arr.push_back(std::move(PJ));
+    double Tput = Ps[I].R.ThroughputOpsPerUs;
+    if (Row.Options.NumShards == 1)
+      Shard1Tput = Tput;
+    if (Row.Options.NumShards >= TopShards) {
+      TopShards = Row.Options.NumShards;
+      TopTput = Tput;
+    }
+  }
+  if (Shard1Tput > 0)
+    std::fprintf(Log, "fig_shard: %.4f ops/us at 1 shard, %.4f at %u shards "
+                      "(%.2fx)\n",
+                 Shard1Tput, TopTput, TopShards, TopTput / Shard1Tput);
+  return Sweep;
+}
+
+/// fig_bigstate: rows pair up as (full, delta) per type; each mode point
+/// adds the bytes the transport wrote per delivered call.
+json::Value bigStateSection(const Figure &F,
+                            const std::vector<PointReport> &Ps, FILE *Log) {
+  json::Value Big = json::Value::makeObject();
+  std::uint64_t Elems = 0;
+  for (const FigureRow &Row : F.Rows)
+    Elems = std::max(Elems, Row.SeedElements);
+  Big.add("nodes", count(F.Rows.front().Options.NumNodes));
+  Big.add("elements", count(Elems));
+  json::Value Entries = json::Value::makeArray();
+  for (std::size_t I = 0; I + 1 < F.Rows.size(); I += 2) {
+    const FigureRow &Full = F.Rows[I];
+    json::Value E = json::Value::makeObject();
+    E.add("type", str(Full.TypeName));
+    E.add("gated", json::Value::makeBool(Full.SeedElements > 0));
+    E.add("seeded_elements", count(Full.SeedElements));
+    double BytesPerCall[2] = {0, 0};
+    for (std::size_t M = 0; M < 2; ++M) {
+      const RunResult &R = Ps[I + M].R;
+      std::uint64_t Bytes = R.ClusterStats.counter("rdma.bytes_written");
+      if (R.CompletedOps)
+        BytesPerCall[M] = static_cast<double>(Bytes) /
+                          static_cast<double>(R.CompletedOps);
+      json::Value PJ = pointToJson(F.Rows[I + M], Ps[I + M]);
+      PJ.add("deltas", json::Value::makeBool(M == 1));
+      PJ.add("bytes_written", count(Bytes));
+      PJ.add("bytes_per_call", num(BytesPerCall[M]));
+      E.add(M == 0 ? "full" : "delta", std::move(PJ));
+    }
+    double Factor =
+        BytesPerCall[1] > 0 ? BytesPerCall[0] / BytesPerCall[1] : 0;
+    E.add("bytes_factor", num(Factor));
+    std::fprintf(Log, "fig_bigstate %s: %.0f B/call full-image, %.0f B/call "
+                      "delta (%.2fx%s)\n",
+                 Full.TypeName.c_str(), BytesPerCall[0], BytesPerCall[1],
+                 Factor, Full.SeedElements ? "" : ", ungated contrast");
+    Entries.Arr.push_back(std::move(E));
+  }
+  Big.add("types", std::move(Entries));
+  return Big;
+}
+
+/// fig_reconfig: each point adds the phase split around the transition.
+json::Value reconfigSection(const Figure &F,
+                            const std::vector<PointReport> &Ps, FILE *Log) {
+  const FigureRow &First = F.Rows.front();
+  json::Value Rec = json::Value::makeObject();
+  Rec.add("type", str(First.TypeName));
+  Rec.add("nodes", count(First.Options.NumNodes));
+  Rec.add("at_fraction", num(First.Options.ReconfigAtFraction));
+  json::Value Points = json::Value::makeArray();
+  for (std::size_t I = 0; I < F.Rows.size(); ++I) {
+    const std::string &Action = F.Rows[I].Options.ReconfigAction;
+    const RunResult &R = Ps[I].R;
+    const unsigned Nodes = F.Rows[I].Options.NumNodes;
+    const bool IsAdd = Action == "add";
+    json::Value J = pointToJson(F.Rows[I], Ps[I]);
+    J.add("action", str(Action));
+    // Serving-node counts around the transition: the after-phase gate
+    // scales its floor by the capacity change for removals.
+    J.add("serving_before", count(IsAdd ? Nodes - 1 : Nodes));
+    J.add("serving_after", count(IsAdd ? Nodes : Nodes - 1));
+    J.add("steady_tput_ops_us", num(R.SteadyThroughputOpsPerUs));
+    J.add("during_tput_ops_us", num(R.DuringThroughputOpsPerUs));
+    J.add("after_tput_ops_us", num(R.AfterThroughputOpsPerUs));
+    J.add("transition_us", num(R.TransitionUs));
+    J.add("installed", json::Value::makeBool(R.ReconfigInstalled));
+    J.add("wrong_epoch_retries", count(R.WrongEpochRetries));
+    std::fprintf(Log, "fig_reconfig %s: steady %.4f, during %.4f, after "
+                      "%.4f ops/us across a %.0f us transition (%llu "
+                      "closed-epoch retries)\n",
+                 Action.c_str(), R.SteadyThroughputOpsPerUs,
+                 R.DuringThroughputOpsPerUs, R.AfterThroughputOpsPerUs,
+                 R.TransitionUs,
+                 static_cast<unsigned long long>(R.WrongEpochRetries));
+    Points.Arr.push_back(std::move(J));
+  }
+  Rec.add("points", std::move(Points));
+  return Rec;
+}
+
+/// A paper figure: every point with the exact driver percentiles,
+/// staleness and per-method means. headline adds the mean Hamband/MSG
+/// and Hamband/Mu throughput and response ratios over its (hamband, msg,
+/// mu) row triples; fig11 and fig13 print their per-method panel (b).
+json::Value paperSection(const Figure &F, const std::vector<PointReport> &Ps,
+                         FILE *Log) {
+  json::Value Sec = json::Value::makeObject();
+  json::Value Points = json::Value::makeArray();
+  const bool PerMethodPanel = F.Name == "fig11_mixed_schema" ||
+                              F.Name == "fig13_failure_courseware";
+  for (std::size_t I = 0; I < F.Rows.size(); ++I) {
+    const FigureRow &Row = F.Rows[I];
+    const RunResult &R = Ps[I].R;
+    json::Value J = json::Value::makeObject();
+    J.add("label", str(Row.Label));
+    J.add("system", str(runtimeKindName(Row.Options.Kind)));
+    json::Value Base = pointToJson(Row, Ps[I]);
+    for (auto &[K, V] : Base.Obj)
+      J.add(K, std::move(V));
+    J.add("mean_update_response_us", num(R.MeanUpdateResponseUs));
+    J.add("mean_query_response_us", num(R.MeanQueryResponseUs));
+    J.add("exact_p50_response_us", num(R.P50ResponseUs));
+    J.add("exact_p99_response_us", num(R.P99ResponseUs));
+    J.add("rejected_ops", count(R.RejectedOps));
+    J.add("stale_mean_calls", num(R.MeanBacklogCalls));
+    J.add("stale_max_calls", num(R.MaxBacklogCalls));
+    json::Value PM = json::Value::makeObject();
+    for (const auto &[Method, S] : R.PerMethod)
+      PM.add(Method, num(S.mean()));
+    J.add("per_method_mean_us", std::move(PM));
+    Points.Arr.push_back(std::move(J));
+    std::fprintf(Log, "%s: %.4f ops/us, mean %.2f us (upd %.2f, qry %.2f), "
+                      "p99 %.2f us%s\n",
+                 Row.Label.c_str(), R.ThroughputOpsPerUs, R.MeanResponseUs,
+                 R.MeanUpdateResponseUs, R.MeanQueryResponseUs,
+                 R.P99ResponseUs, R.Completed ? "" : " INCOMPLETE");
+    if (PerMethodPanel) {
+      std::fprintf(Log, "#  per-method:");
+      for (const auto &[Method, S] : R.PerMethod)
+        std::fprintf(Log, " %s=%.2fus", Method.c_str(), S.mean());
+      std::fprintf(Log, "\n");
+    }
+  }
+  Sec.add("points", std::move(Points));
+  if (F.Name != "headline")
+    return Sec;
+  // One ratio per matrix cell whose two runs both completed, averaged.
+  struct Ratio {
+    double Tput = 0, Resp = 0;
+    unsigned Cells = 0;
+    void add(const RunResult &H, const RunResult &Other) {
+      if (!H.Completed || !Other.Completed ||
+          Other.ThroughputOpsPerUs <= 0 || H.MeanResponseUs <= 0)
+        return;
+      Tput += H.ThroughputOpsPerUs / Other.ThroughputOpsPerUs;
+      Resp += Other.MeanResponseUs / H.MeanResponseUs;
+      ++Cells;
+    }
+    double tput() const { return Cells ? Tput / Cells : 0; }
+    double resp() const { return Cells ? Resp / Cells : 0; }
+  } VsMsg, VsMu;
+  for (std::size_t I = 0; I + 2 < Ps.size(); I += 3) {
+    VsMsg.add(Ps[I].R, Ps[I + 1].R);
+    VsMu.add(Ps[I].R, Ps[I + 2].R);
+  }
+  Sec.add("tput_vs_msg", num(VsMsg.tput()));
+  Sec.add("tput_vs_mu", num(VsMu.tput()));
+  Sec.add("resp_vs_msg", num(VsMsg.resp()));
+  Sec.add("resp_vs_mu", num(VsMu.resp()));
+  Sec.add("aggregate_points", count(VsMsg.Cells));
+  std::fprintf(Log, "# Headline (paper: >17x MSG, >2.7x Mu throughput; ~23x "
+                    "lower response than MSG, ~= Mu)\n"
+                    "# measured: %.1fx MSG and %.2fx Mu throughput; %.1fx "
+                    "lower response than MSG, %.2fx lower than Mu (%u "
+                    "points)\n",
+               VsMsg.tput(), VsMu.tput(), VsMsg.resp(), VsMu.resp(),
+               VsMsg.Cells);
+  return Sec;
+}
+
+// -- --check and --compare ----------------------------------------------------
 
 /// The report's required numeric fields per figure point.
 const char *const PointFields[] = {
@@ -309,30 +377,35 @@ const char *const PointFields[] = {
     "p99_response_us",   "max_response_us",
 };
 
+int checkFailed(const std::string &Msg) {
+  std::fprintf(stderr, "check failed: %s\n", Msg.c_str());
+  return 1;
+}
+
+/// True when \p P has field \p F as a finite number no smaller than \p Min.
+bool finiteField(const json::Value &P, const char *F, double Min = 0) {
+  const json::Value *V = P.find(F);
+  return V && V->isNumber() && std::isfinite(V->asDouble()) &&
+         V->asDouble() >= Min;
+}
+
 bool checkPointObject(const json::Value *P, const std::string &Name,
                       std::string &Err) {
   if (!P || !P->isObject()) {
     Err = Name + " missing or not an object";
     return false;
   }
-  for (const char *F : PointFields) {
-    const json::Value *V = P->find(F);
-    if (!V || !V->isNumber() || !std::isfinite(V->asDouble()) ||
-        V->asDouble() < 0) {
+  for (const char *F : PointFields)
+    if (!finiteField(*P, F)) {
       Err = Name + "." + F + " missing or not a finite number";
       return false;
     }
-  }
   const json::Value *C = P->find("completed");
   if (!C || !C->isBool() || !C->B) {
     Err = Name + " run did not complete";
     return false;
   }
   return true;
-}
-
-bool checkPoint(const json::Value &Doc, const char *Fig, std::string &Err) {
-  return checkPointObject(Doc.find(Fig), Fig, Err);
 }
 
 bool loadDoc(const std::string &Path, json::Value &Doc, std::string &Err) {
@@ -359,58 +432,36 @@ int checkMode(const Options &Opt) {
   json::Value Doc;
   std::string Err;
   if (!loadDoc(Opt.CheckFile, Doc, Err) ||
-      !checkPoint(Doc, "fig8", Err) || !checkPoint(Doc, "fig9", Err)) {
-    std::fprintf(stderr, "check failed: %s\n", Err.c_str());
-    return 1;
-  }
-  // fig8_batched is validated when present (reports predating the
-  // batching layer stay checkable), and required by the speedup gate.
-  // The wall-clock shm sections are likewise validated only when present:
-  // their shape must be sound, but no speedup floor applies to them.
-  bool HasBatched = Doc.find("fig8_batched") != nullptr;
-  if (HasBatched && !checkPoint(Doc, "fig8_batched", Err)) {
-    std::fprintf(stderr, "check failed: %s\n", Err.c_str());
-    return 1;
-  }
-  for (const char *ShmFig : {"fig8_shm", "fig8_shm_batched"})
-    if (Doc.find(ShmFig) && !checkPoint(Doc, ShmFig, Err)) {
-      std::fprintf(stderr, "check failed: %s\n", Err.c_str());
-      return 1;
-    }
-  // fig_shard, like fig8_batched, is validated when present (reports
-  // predating the keyspace layer stay checkable) and required by the
-  // shard-speedup gate. Each sweep entry must be a sound figure point
-  // with a positive shard count; the 1-shard baseline must be present
-  // for the gate to be meaningful.
+      !checkPointObject(Doc.find("fig8"), "fig8", Err) ||
+      !checkPointObject(Doc.find("fig9"), "fig9", Err))
+    return checkFailed(Err);
+  // Every other section is validated when present (reports predating it
+  // stay checkable) and required by its gate. The wall-clock shm sections
+  // must be sound, but no speedup floor applies to them.
+  for (const char *Fig : {"fig8_batched", "fig8_shm", "fig8_shm_batched"})
+    if (Doc.find(Fig) && !checkPointObject(Doc.find(Fig), Fig, Err))
+      return checkFailed(Err);
+  // fig_shard: each sweep entry must be a sound figure point with a
+  // positive shard count; the 1-shard baseline must be present for the
+  // gate to be meaningful.
   const json::Value *ShardSweep = Doc.find("fig_shard");
   double Shard1Tput = 0, ShardTopTput = 0;
   std::uint64_t TopShards = 0;
   if (ShardSweep) {
     const json::Value *Points = ShardSweep->find("points");
-    if (!Points || !Points->isArray() || Points->Arr.empty()) {
-      std::fprintf(stderr,
-                   "check failed: fig_shard.points missing or empty\n");
-      return 1;
-    }
+    if (!Points || !Points->isArray() || Points->Arr.empty())
+      return checkFailed("fig_shard.points missing or empty");
     for (const json::Value &P : Points->Arr) {
-      for (const char *F : PointFields) {
-        const json::Value *V = P.find(F);
-        if (!V || !V->isNumber() || !std::isfinite(V->asDouble()) ||
-            V->asDouble() < 0) {
-          std::fprintf(stderr, "check failed: fig_shard point %s missing "
-                               "or not a finite number\n",
-                       F);
-          return 1;
-        }
-      }
+      for (const char *F : PointFields)
+        if (!finiteField(P, F))
+          return checkFailed(std::string("fig_shard point ") + F +
+                             " missing or not a finite number");
       const json::Value *C = P.find("completed");
       const json::Value *S = P.find("shards");
       if (!C || !C->isBool() || !C->B || !S || !S->isNumber() ||
-          S->asDouble() < 1) {
-        std::fprintf(stderr, "check failed: fig_shard point incomplete "
-                             "or missing a positive shard count\n");
-        return 1;
-      }
+          S->asDouble() < 1)
+        return checkFailed("fig_shard point incomplete or missing a "
+                           "positive shard count");
       auto Shards = static_cast<std::uint64_t>(S->asDouble());
       double Tput = P.find("throughput_ops_us")->asDouble();
       if (Shards == 1)
@@ -421,120 +472,74 @@ int checkMode(const Options &Opt) {
       }
     }
     if (const json::Value *Z = ShardSweep->find("zipf"))
-      for (const char *F : PointFields) {
-        const json::Value *V = Z->find(F);
-        if (!V || !V->isNumber() || !std::isfinite(V->asDouble())) {
-          std::fprintf(stderr,
-                       "check failed: fig_shard.zipf.%s missing or not "
-                       "a finite number\n",
-                       F);
-          return 1;
-        }
-      }
+      for (const char *F : PointFields)
+        if (!finiteField(*Z, F, -INFINITY))
+          return checkFailed(std::string("fig_shard.zipf.") + F +
+                             " missing or not a finite number");
   }
-  // fig_bigstate, like the other optional sections, is validated when
-  // present (reports predating delta propagation stay checkable) and
-  // required by the delta-bytes gate. Every entry carries a full-image
-  // point and a delta point, each with a finite bytes_per_call, plus the
-  // full/delta ratio as bytes_factor.
+  // fig_bigstate: every entry carries a full-image point and a delta
+  // point, each with a positive bytes_per_call, plus the full/delta ratio
+  // as bytes_factor.
   const json::Value *BigSweep = Doc.find("fig_bigstate");
   if (BigSweep) {
     const json::Value *Entries = BigSweep->find("types");
-    if (!Entries || !Entries->isArray() || Entries->Arr.empty()) {
-      std::fprintf(stderr,
-                   "check failed: fig_bigstate.types missing or empty\n");
-      return 1;
-    }
+    if (!Entries || !Entries->isArray() || Entries->Arr.empty())
+      return checkFailed("fig_bigstate.types missing or empty");
     for (const json::Value &E : Entries->Arr) {
       const json::Value *TN = E.find("type");
       std::string Name = "fig_bigstate." +
                          (TN && TN->isString() ? TN->Str : std::string("?"));
       const json::Value *G = E.find("gated");
-      if (!TN || !TN->isString() || !G || !G->isBool()) {
-        std::fprintf(stderr, "check failed: %s entry missing type or "
-                             "gated flag\n",
-                     Name.c_str());
-        return 1;
-      }
+      if (!TN || !TN->isString() || !G || !G->isBool())
+        return checkFailed(Name + " entry missing type or gated flag");
       for (const char *Mode : {"full", "delta"}) {
         const json::Value *P = E.find(Mode);
-        if (!checkPointObject(P, Name + "." + Mode, Err)) {
-          std::fprintf(stderr, "check failed: %s\n", Err.c_str());
-          return 1;
-        }
+        if (!checkPointObject(P, Name + "." + Mode, Err))
+          return checkFailed(Err);
         const json::Value *B = P->find("bytes_per_call");
         if (!B || !B->isNumber() || !std::isfinite(B->asDouble()) ||
-            B->asDouble() <= 0) {
-          std::fprintf(stderr, "check failed: %s.%s.bytes_per_call "
-                               "missing or not positive\n",
-                       Name.c_str(), Mode);
-          return 1;
-        }
+            B->asDouble() <= 0)
+          return checkFailed(Name + "." + Mode +
+                             ".bytes_per_call missing or not positive");
       }
-      const json::Value *F = E.find("bytes_factor");
-      if (!F || !F->isNumber() || !std::isfinite(F->asDouble()) ||
-          F->asDouble() < 0) {
-        std::fprintf(stderr, "check failed: %s.bytes_factor missing or "
-                             "not a finite number\n",
-                     Name.c_str());
-        return 1;
-      }
+      if (!finiteField(E, "bytes_factor"))
+        return checkFailed(Name + ".bytes_factor missing or not a finite "
+                                  "number");
     }
   }
-  // fig_reconfig, like the other optional sections, is validated when
-  // present (reports predating online reconfiguration stay checkable)
-  // and required by the retention gate. Every point is a sound figure
-  // point whose transition installed, with finite phase throughputs.
+  // fig_reconfig: every point is a sound figure point whose transition
+  // installed, with finite phase throughputs.
   const json::Value *Reconfig = Doc.find("fig_reconfig");
   if (Reconfig) {
     const json::Value *Points = Reconfig->find("points");
-    if (!Points || !Points->isArray() || Points->Arr.empty()) {
-      std::fprintf(stderr,
-                   "check failed: fig_reconfig.points missing or empty\n");
-      return 1;
-    }
+    if (!Points || !Points->isArray() || Points->Arr.empty())
+      return checkFailed("fig_reconfig.points missing or empty");
     for (const json::Value &P : Points->Arr) {
       const json::Value *Act = P.find("action");
       std::string Name =
           "fig_reconfig." +
           (Act && Act->isString() ? Act->Str : std::string("?"));
       if (!Act || !Act->isString() ||
-          (Act->Str != "add" && Act->Str != "remove")) {
-        std::fprintf(stderr, "check failed: fig_reconfig point missing an "
-                             "add/remove action\n");
-        return 1;
-      }
-      if (!checkPointObject(&P, Name, Err)) {
-        std::fprintf(stderr, "check failed: %s\n", Err.c_str());
-        return 1;
-      }
+          (Act->Str != "add" && Act->Str != "remove"))
+        return checkFailed("fig_reconfig point missing an add/remove "
+                           "action");
+      if (!checkPointObject(&P, Name, Err))
+        return checkFailed(Err);
       for (const char *F :
            {"steady_tput_ops_us", "during_tput_ops_us", "after_tput_ops_us",
-            "transition_us", "serving_before", "serving_after"}) {
-        const json::Value *V = P.find(F);
-        if (!V || !V->isNumber() || !std::isfinite(V->asDouble()) ||
-            V->asDouble() < 0) {
-          std::fprintf(stderr, "check failed: %s.%s missing or not a "
-                               "finite number\n",
-                       Name.c_str(), F);
-          return 1;
-        }
-      }
+            "transition_us", "serving_before", "serving_after"})
+        if (!finiteField(P, F))
+          return checkFailed(Name + "." + F +
+                             " missing or not a finite number");
       const json::Value *Inst = P.find("installed");
-      if (!Inst || !Inst->isBool() || !Inst->B) {
-        std::fprintf(stderr,
-                     "check failed: %s transition did not install\n",
-                     Name.c_str());
-        return 1;
-      }
+      if (!Inst || !Inst->isBool() || !Inst->B)
+        return checkFailed(Name + " transition did not install");
     }
   }
   if (Opt.MinReconfigRetention > 0) {
-    if (!Reconfig) {
-      std::fprintf(stderr, "check failed: --min-reconfig-retention needs "
-                           "a fig_reconfig section\n");
-      return 1;
-    }
+    if (!Reconfig)
+      return checkFailed("--min-reconfig-retention needs a fig_reconfig "
+                         "section");
     for (const json::Value &P : Reconfig->find("points")->Arr) {
       const std::string &Act = P.find("action")->Str;
       double Steady = P.find("steady_tput_ops_us")->asDouble();
@@ -558,20 +563,15 @@ int checkMode(const Options &Opt) {
                   Opt.MinReconfigRetention * 100.0, AfterR * 100.0,
                   Capacity);
       if (Steady <= 0 || DuringR < Opt.MinReconfigRetention ||
-          AfterR < 0.95) {
-        std::fprintf(stderr, "check failed: fig_reconfig %s throughput "
-                             "retention below floor\n",
-                     Act.c_str());
-        return 1;
-      }
+          AfterR < 0.95)
+        return checkFailed("fig_reconfig " + Act +
+                           " throughput retention below floor");
     }
   }
   if (Opt.MinDeltaBytesFactor > 0) {
-    if (!BigSweep) {
-      std::fprintf(stderr, "check failed: --min-delta-bytes-factor needs "
-                           "a fig_bigstate sweep\n");
-      return 1;
-    }
+    if (!BigSweep)
+      return checkFailed("--min-delta-bytes-factor needs a fig_bigstate "
+                         "sweep");
     for (const json::Value &E : BigSweep->find("types")->Arr) {
       const std::string &TN = E.find("type")->Str;
       double Factor = E.find("bytes_factor")->asDouble();
@@ -580,20 +580,14 @@ int checkMode(const Options &Opt) {
                   "%.2fx (%s, floor %.2fx)\n",
                   TN.c_str(), Factor, Gated ? "gated" : "ungated contrast",
                   Opt.MinDeltaBytesFactor);
-      if (Gated && Factor < Opt.MinDeltaBytesFactor) {
-        std::fprintf(stderr, "check failed: fig_bigstate %s delta bytes "
-                             "reduction below floor\n",
-                     TN.c_str());
-        return 1;
-      }
+      if (Gated && Factor < Opt.MinDeltaBytesFactor)
+        return checkFailed("fig_bigstate " + TN +
+                           " delta bytes reduction below floor");
     }
   }
   if (Opt.MinBatchSpeedup > 0) {
-    if (!HasBatched) {
-      std::fprintf(stderr,
-                   "check failed: --min-batch-speedup needs fig8_batched\n");
-      return 1;
-    }
+    if (!Doc.find("fig8_batched"))
+      return checkFailed("--min-batch-speedup needs fig8_batched");
     double Base = Doc.find("fig8")->find("throughput_ops_us")->asDouble();
     double Batched =
         Doc.find("fig8_batched")->find("throughput_ops_us")->asDouble();
@@ -601,36 +595,27 @@ int checkMode(const Options &Opt) {
     std::printf("fig8 batching speedup: %.2fx (batched %.4f / unbatched "
                 "%.4f ops/us, floor %.2fx)\n",
                 Speedup, Batched, Base, Opt.MinBatchSpeedup);
-    if (Speedup < Opt.MinBatchSpeedup) {
-      std::fprintf(stderr, "check failed: batching speedup below floor\n");
-      return 1;
-    }
+    if (Speedup < Opt.MinBatchSpeedup)
+      return checkFailed("batching speedup below floor");
   }
   if (Opt.MinShardSpeedup > 0) {
-    if (!ShardSweep || Shard1Tput <= 0 || TopShards < 2) {
-      std::fprintf(stderr, "check failed: --min-shard-speedup needs a "
-                           "fig_shard sweep with a 1-shard baseline and "
-                           "a multi-shard point\n");
-      return 1;
-    }
+    if (!ShardSweep || Shard1Tput <= 0 || TopShards < 2)
+      return checkFailed("--min-shard-speedup needs a fig_shard sweep with "
+                         "a 1-shard baseline and a multi-shard point");
     double Speedup = ShardTopTput / Shard1Tput;
     std::printf("fig_shard speedup: %.2fx (%llu shards %.4f / 1 shard "
                 "%.4f ops/us, floor %.2fx)\n",
                 Speedup, static_cast<unsigned long long>(TopShards),
                 ShardTopTput, Shard1Tput, Opt.MinShardSpeedup);
-    if (Speedup < Opt.MinShardSpeedup) {
-      std::fprintf(stderr, "check failed: shard speedup below floor\n");
-      return 1;
-    }
+    if (Speedup < Opt.MinShardSpeedup)
+      return checkFailed("shard speedup below floor");
   }
   // The embedded stats snapshot, when present, must itself round-trip.
   if (const json::Value *Stats = Doc.find("stats")) {
     obs::StatsSnapshot S;
-    if (!obs::StatsSnapshot::fromJson(Stats->write(), S)) {
-      std::fprintf(stderr, "check failed: embedded stats snapshot is not "
-                           "a valid hamband-stats-v1 document\n");
-      return 1;
-    }
+    if (!obs::StatsSnapshot::fromJson(Stats->write(), S))
+      return checkFailed("embedded stats snapshot is not a valid "
+                         "hamband-stats-v1 document");
   }
   std::printf("%s: ok\n", Opt.CheckFile.c_str());
   return 0;
@@ -673,16 +658,33 @@ int compareMode(const Options &Opt) {
 
 int usage(const char *Argv0) {
   std::fprintf(stderr,
-               "usage: %s [--ops N] [--reps N] [--smoke] [--out FILE]\n"
-               "          [--transport sim|shm|both] [--shards LIST]\n"
-               "          [--shard-objects N] [--big-elems N]\n"
+               "usage: %s [--figures LIST] [--ops N] [--reps N] [--smoke]\n"
+               "          [--out FILE]\n"
                "       %s --check FILE [--min-batch-speedup X]\n"
                "          [--min-shard-speedup X]\n"
                "          [--min-delta-bytes-factor X]\n"
                "          [--min-reconfig-retention X]\n"
-               "       %s --compare A.json B.json [--tolerance T]\n",
+               "       %s --compare A.json B.json [--tolerance T]\n"
+               "LIST: comma-separated figure names, sim, shm, paper or all\n",
                Argv0, Argv0, Argv0);
   return 2;
+}
+
+/// Figure names, group names or "all", comma-separated.
+std::vector<std::string> splitList(const std::string &List) {
+  std::vector<std::string> Out;
+  std::stringstream SS(List);
+  for (std::string Item; std::getline(SS, Item, ',');)
+    if (!Item.empty())
+      Out.push_back(Item);
+  return Out;
+}
+
+bool selected(const Figure &F, const std::vector<std::string> &Sel) {
+  for (const std::string &S : Sel)
+    if (S == "all" || S == F.Name || S == F.Group)
+      return true;
+  return false;
 }
 
 } // namespace
@@ -701,6 +703,8 @@ int main(int Argc, char **Argv) {
       Opt.Reps = static_cast<unsigned>(std::strtoul(V, nullptr, 10));
     else if (A == "--smoke")
       Opt.Smoke = true;
+    else if (A == "--figures" && (V = Next()))
+      Opt.Figures = V;
     else if (A == "--out" && (V = Next()))
       Opt.Out = V;
     else if (A == "--check" && (V = Next()))
@@ -715,25 +719,6 @@ int main(int Argc, char **Argv) {
       Opt.MinDeltaBytesFactor = std::strtod(V, nullptr);
     else if (A == "--min-reconfig-retention" && (V = Next()))
       Opt.MinReconfigRetention = std::strtod(V, nullptr);
-    else if (A == "--big-elems" && (V = Next()))
-      Opt.BigElems = std::strtoull(V, nullptr, 10);
-    else if (A == "--shards" && (V = Next())) {
-      // Comma-separated shard counts, e.g. "1,2,4,8"; "0" or an empty
-      // list disables the fig_shard sweep.
-      Opt.Shards.clear();
-      for (const char *P = V; *P;) {
-        char *End = nullptr;
-        unsigned long S = std::strtoul(P, &End, 10);
-        if (End == P)
-          return usage(Argv[0]);
-        if (S > 0)
-          Opt.Shards.push_back(static_cast<unsigned>(S));
-        P = *End == ',' ? End + 1 : End;
-      }
-    } else if (A == "--shard-objects" && (V = Next()))
-      Opt.ShardObjects = std::strtoull(V, nullptr, 10);
-    else if (A == "--transport" && (V = Next()))
-      Opt.Transport = V;
     else if (A == "--compare") {
       const char *VA = Next();
       const char *VB = Next();
@@ -744,215 +729,71 @@ int main(int Argc, char **Argv) {
     } else
       return usage(Argv[0]);
   }
-  if (Opt.Smoke) {
-    Opt.Ops = std::min<std::uint64_t>(Opt.Ops, 600);
-    Opt.ShardObjects = std::min<std::uint64_t>(Opt.ShardObjects, 1000);
-    Opt.BigElems = std::min<std::uint64_t>(Opt.BigElems, 5000);
-  }
 
   if (!Opt.CheckFile.empty())
     return checkMode(Opt);
   if (!Opt.CompareA.empty())
     return compareMode(Opt);
-  if (Opt.Transport != "sim" && Opt.Transport != "shm" &&
-      Opt.Transport != "both") {
-    std::fprintf(stderr, "error: --transport must be sim, shm, or both\n");
-    return 2;
+
+  const std::vector<Figure> Table =
+      figureTable(TableScale{Opt.Ops, Opt.Smoke, std::max(1u, Opt.Reps)});
+  const std::vector<std::string> Sel = splitList(Opt.Figures);
+  for (const std::string &S : Sel) {
+    bool Known = S == "all";
+    for (const Figure &F : Table)
+      Known |= S == F.Name || S == F.Group;
+    if (!Known) {
+      std::fprintf(stderr, "error: unknown figure '%s'; figures:", S.c_str());
+      for (const Figure &F : Table)
+        std::fprintf(stderr, " %s", F.Name.c_str());
+      std::fprintf(stderr, " (groups: sim, shm, paper, all)\n");
+      return 2;
+    }
   }
-  const bool RunSim = Opt.Transport != "shm";
-  const bool RunShm = Opt.Transport != "sim";
+  // Progress lines go to stdout unless the report itself does.
+  FILE *Log = Opt.Out.empty() ? stderr : stdout;
 
   json::Value Doc = json::Value::makeObject();
-  Doc.add("schema", json::Value::makeString("hamband-bench-v1"));
-#if HAMBAND_OBS_ENABLED
-  Doc.add("obs_enabled", json::Value::makeBool(true));
-#else
-  Doc.add("obs_enabled", json::Value::makeBool(false));
-#endif
-  Doc.add("ops", json::Value::makeUInt(Opt.Ops));
-  Doc.add("reps", json::Value::makeUInt(std::max(1u, Opt.Reps)));
-
-  double SimTput = 0, SimBTput = 0, Fig9P99 = 0;
-  if (RunSim) {
-    // Fig8 point: reducible updates (counter), 4 nodes, 25% update ratio
-    // -- the headline throughput configuration -- plus the same point
-    // with the call-batching layer enabled. Fig9 point: irreducible
-    // conflict-free updates through the F rings (ORSet), same shape.
-    PointReport Fig8 = runFigPoint("counter", 4, 0.25, Opt);
-    PointReport Fig8B = runFigPoint("counter", 4, 0.25, Opt, true);
-    PointReport Fig9 = runFigPoint("orset", 4, 0.25, Opt);
-    SimTput = Fig8.R.ThroughputOpsPerUs;
-    SimBTput = Fig8B.R.ThroughputOpsPerUs;
-    Fig9P99 = Fig9.P99Us;
-    Doc.add("fig8", pointToJson("counter", 4, 0.25, Fig8));
-    json::Value Fig8BJson = pointToJson("counter", 4, 0.25, Fig8B);
-    Fig8BJson.add("batched", json::Value::makeBool(true));
-    Doc.add("fig8_batched", std::move(Fig8BJson));
-    Doc.add("fig9", pointToJson("orset", 4, 0.25, Fig9));
-
-    // Embed the fig9 run's merged snapshot so a report is
-    // self-describing: readers can recompute the percentiles from the
-    // raw buckets.
-    if (!Fig9.R.ClusterStats.empty()) {
+  Doc.add("schema", str("hamband-bench-v1"));
+  Doc.add("obs_enabled", json::Value::makeBool(HAMBAND_OBS_ENABLED != 0));
+  std::uint64_t GatedOps = Opt.Ops ? Opt.Ops : ReportOps;
+  Doc.add("ops", count(Opt.Smoke ? std::min(GatedOps, SmokeOps) : GatedOps));
+  Doc.add("reps", count(std::max(1u, Opt.Reps)));
+  unsigned Incomplete = 0;
+  for (const Figure &F : Table) {
+    if (!selected(F, Sel))
+      continue;
+    // fig_bigstate reads the transport's byte counter, which an
+    // HAMBAND_OBS=OFF build does not keep.
+    if (!HAMBAND_OBS_ENABLED && F.Name == "fig_bigstate")
+      continue;
+    std::vector<PointReport> Ps;
+    for (const FigureRow &Row : F.Rows) {
+      Ps.push_back(runRow(Row));
+      Incomplete += !Ps.back().R.Completed;
+    }
+    if (F.Group == "paper") {
+      Doc.add(F.Name, paperSection(F, Ps, Log));
+    } else if (F.Name == "fig_shard") {
+      Doc.add(F.Name, shardSection(F, Ps, Log));
+    } else if (F.Name == "fig_bigstate") {
+      Doc.add(F.Name, bigStateSection(F, Ps, Log));
+    } else if (F.Name == "fig_reconfig") {
+      Doc.add(F.Name, reconfigSection(F, Ps, Log));
+    } else {
+      const PointReport &P = Ps.front();
+      Doc.add(F.Name, pointSection(F.Rows.front(), P));
+      std::fprintf(Log, "%s: %.4f ops/us, p99 %.2f us (%s)\n",
+                   F.Name.c_str(), P.R.ThroughputOpsPerUs, P.P99Us,
+                   P.Source);
+      // Embed the fig9 run's merged snapshot so a report is
+      // self-describing: readers can recompute the percentiles from the
+      // raw buckets.
       json::Value Stats;
-      if (json::parse(Fig9.R.ClusterStats.toJson(), Stats))
+      if (F.Name == "fig9" && !P.R.ClusterStats.empty() &&
+          json::parse(P.R.ClusterStats.toJson(), Stats))
         Doc.add("stats", std::move(Stats));
     }
-
-    // fig_shard: keyspace scaling sweep plus one zipfian hot-key
-    // companion at the top shard count.
-    if (!Opt.Shards.empty()) {
-      json::Value Sweep = json::Value::makeObject();
-      Sweep.add("type", json::Value::makeString("movie"));
-      Sweep.add("nodes", json::Value::makeUInt(4));
-      Sweep.add("objects", json::Value::makeUInt(Opt.ShardObjects));
-      json::Value Points = json::Value::makeArray();
-      double Shard1Tput = 0, ShardTopTput = 0;
-      unsigned TopShards = 0;
-      for (unsigned S : Opt.Shards) {
-        PointReport P = runShardPoint(S, 0.0, Opt);
-        json::Value PJ = pointToJson("movie", 4, 1.0, P);
-        PJ.add("shards", json::Value::makeUInt(S));
-        PJ.add("objects", json::Value::makeUInt(Opt.ShardObjects));
-        PJ.add("zipf_skew", json::Value::makeDouble(0.0));
-        Points.Arr.push_back(std::move(PJ));
-        if (S == 1)
-          Shard1Tput = P.R.ThroughputOpsPerUs;
-        if (S >= TopShards) {
-          TopShards = S;
-          ShardTopTput = P.R.ThroughputOpsPerUs;
-        }
-      }
-      Sweep.add("points", std::move(Points));
-      {
-        PointReport Z = runShardPoint(TopShards, 0.99, Opt);
-        json::Value ZJ = pointToJson("movie", 4, 1.0, Z);
-        ZJ.add("shards", json::Value::makeUInt(TopShards));
-        ZJ.add("objects", json::Value::makeUInt(Opt.ShardObjects));
-        ZJ.add("zipf_skew", json::Value::makeDouble(0.99));
-        Sweep.add("zipf", std::move(ZJ));
-      }
-      Doc.add("fig_shard", std::move(Sweep));
-      if (Shard1Tput > 0)
-        std::printf("fig_shard: %.4f ops/us at 1 shard, %.4f at %u shards "
-                    "(%.2fx)\n",
-                    Shard1Tput, ShardTopTput, TopShards,
-                    ShardTopTput / Shard1Tput);
-    }
-
-    // fig_bigstate: bytes shipped per delivered call with a big resident
-    // state, full-image mode vs delta mode, per reducible set type. The
-    // lww-register entry has a constant-size image and is the ungated
-    // contrast case. The sweep reads the transport's rdma.bytes_written
-    // counter, so an HAMBAND_OBS=OFF build (the bench_regress overhead
-    // twin) omits the section instead of reporting zero bytes.
-#if HAMBAND_OBS_ENABLED
-    if (Opt.BigElems) {
-      struct BigCase {
-        const char *Type;
-        bool Seeded;
-        bool Gated;
-      };
-      const BigCase Cases[] = {
-          {"gset", true, true},
-          {"two-phase-set", true, true},
-          {"lww-register", false, false},
-      };
-      json::Value Big = json::Value::makeObject();
-      Big.add("nodes", json::Value::makeUInt(4));
-      Big.add("elements", json::Value::makeUInt(Opt.BigElems));
-      json::Value Entries = json::Value::makeArray();
-      for (const BigCase &BC : Cases) {
-        std::uint64_t Elems = BC.Seeded ? Opt.BigElems : 0;
-        BigStatePoint Full = runBigStatePoint(BC.Type, Elems, false, Opt);
-        BigStatePoint Delta = runBigStatePoint(BC.Type, Elems, true, Opt);
-        json::Value E = json::Value::makeObject();
-        E.add("type", json::Value::makeString(BC.Type));
-        E.add("gated", json::Value::makeBool(BC.Gated));
-        E.add("seeded_elements", json::Value::makeUInt(Elems));
-        for (const auto &Mode :
-             {std::make_pair("full", &Full), std::make_pair("delta", &Delta)}) {
-          json::Value PJ = pointToJson(BC.Type, 4, 1.0, Mode.second->P);
-          PJ.add("deltas", json::Value::makeBool(Mode.second == &Delta));
-          PJ.add("bytes_written",
-                 json::Value::makeUInt(Mode.second->BytesWritten));
-          PJ.add("bytes_per_call",
-                 json::Value::makeDouble(Mode.second->BytesPerCall));
-          E.add(Mode.first, std::move(PJ));
-        }
-        double Factor = Delta.BytesPerCall > 0
-                            ? Full.BytesPerCall / Delta.BytesPerCall
-                            : 0;
-        E.add("bytes_factor", json::Value::makeDouble(Factor));
-        std::printf("fig_bigstate %s: %.0f B/call full-image, %.0f B/call "
-                    "delta (%.2fx%s)\n",
-                    BC.Type, Full.BytesPerCall, Delta.BytesPerCall, Factor,
-                    BC.Gated ? "" : ", ungated contrast");
-        Entries.Arr.push_back(std::move(E));
-      }
-      Big.add("types", std::move(Entries));
-      Doc.add("fig_bigstate", std::move(Big));
-    }
-#endif
-
-    // fig_reconfig: throughput retention across an online membership
-    // transition, one point per direction. The phase split and retry
-    // count come from the driver itself, so the section is present in
-    // HAMBAND_OBS=OFF builds too.
-    {
-      json::Value Rec = json::Value::makeObject();
-      Rec.add("type", json::Value::makeString("counter"));
-      Rec.add("nodes", json::Value::makeUInt(4));
-      Rec.add("at_fraction", json::Value::makeDouble(0.4));
-      json::Value Points = json::Value::makeArray();
-      for (const char *Action : {"add", "remove"}) {
-        PointReport P = runReconfigPoint(Action, Opt);
-        bool IsAdd = std::strcmp(Action, "add") == 0;
-        json::Value J = pointToJson("counter", 4, 0.25, P);
-        J.add("action", json::Value::makeString(Action));
-        // Serving-node counts around the transition: the after-phase
-        // gate scales its floor by the capacity change for removals.
-        J.add("serving_before", json::Value::makeUInt(IsAdd ? 3 : 4));
-        J.add("serving_after", json::Value::makeUInt(IsAdd ? 4 : 3));
-        J.add("steady_tput_ops_us",
-              json::Value::makeDouble(P.R.SteadyThroughputOpsPerUs));
-        J.add("during_tput_ops_us",
-              json::Value::makeDouble(P.R.DuringThroughputOpsPerUs));
-        J.add("after_tput_ops_us",
-              json::Value::makeDouble(P.R.AfterThroughputOpsPerUs));
-        J.add("transition_us", json::Value::makeDouble(P.R.TransitionUs));
-        J.add("installed", json::Value::makeBool(P.R.ReconfigInstalled));
-        J.add("wrong_epoch_retries",
-              json::Value::makeUInt(P.R.WrongEpochRetries));
-        std::printf("fig_reconfig %s: steady %.4f, during %.4f, after "
-                    "%.4f ops/us across a %.0f us transition (%llu "
-                    "closed-epoch retries)\n",
-                    Action, P.R.SteadyThroughputOpsPerUs,
-                    P.R.DuringThroughputOpsPerUs,
-                    P.R.AfterThroughputOpsPerUs, P.R.TransitionUs,
-                    static_cast<unsigned long long>(P.R.WrongEpochRetries));
-        Points.Arr.push_back(std::move(J));
-      }
-      Rec.add("points", std::move(Points));
-      Doc.add("fig_reconfig", std::move(Rec));
-    }
-  }
-
-  double ShmTput = 0, ShmBTput = 0;
-  if (RunShm) {
-    // The same fig8 point on real threads over real shared memory:
-    // throughput here is wall-clock operations per microsecond on this
-    // host, measured over the exact protocol code the simulator runs.
-    PointReport Shm = runFigPoint("counter", 4, 0.25, Opt, false,
-                                  rdma::TransportKind::Shm);
-    PointReport ShmB = runFigPoint("counter", 4, 0.25, Opt, true,
-                                   rdma::TransportKind::Shm);
-    ShmTput = Shm.R.ThroughputOpsPerUs;
-    ShmBTput = ShmB.R.ThroughputOpsPerUs;
-    Doc.add("fig8_shm", pointToJson("counter", 4, 0.25, Shm, "shm"));
-    json::Value ShmBJson = pointToJson("counter", 4, 0.25, ShmB, "shm");
-    ShmBJson.add("batched", json::Value::makeBool(true));
-    Doc.add("fig8_shm_batched", std::move(ShmBJson));
   }
 
   std::string Text = Doc.write();
@@ -966,14 +807,11 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "error: cannot write %s\n", Opt.Out.c_str());
       return 1;
     }
-    if (RunSim)
-      std::printf("wrote %s (fig8 tput %.4f ops/us, batched %.4f ops/us, "
-                  "fig9 p99 %.2f us)\n",
-                  Opt.Out.c_str(), SimTput, SimBTput, Fig9P99);
-    if (RunShm)
-      std::printf("wrote %s (fig8_shm wall-clock tput %.4f ops/us, "
-                  "batched %.4f ops/us)\n",
-                  Opt.Out.c_str(), ShmTput, ShmBTput);
+    std::printf("wrote %s\n", Opt.Out.c_str());
+  }
+  if (Incomplete) {
+    std::fprintf(stderr, "error: %u row(s) did not complete\n", Incomplete);
+    return 1;
   }
   return 0;
 }
