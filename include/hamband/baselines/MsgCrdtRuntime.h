@@ -50,7 +50,7 @@ public:
   sim::Simulator *simulator() override { return &Sim; }
   rdma::Fabric &fabric() { return *Fab; }
   const ObjectType &objectType() const override { return Type; }
-  void submit(rdma::NodeId Origin, const Call &C,
+  void submit(rdma::NodeId Origin, Call C,
               runtime::SubmitCallback Done) override;
   bool fullyReplicated() const override;
   void injectFailure(rdma::NodeId Node) override { Failed[Node] = true; }
@@ -77,8 +77,7 @@ private:
         AwaitingAcks;
   };
 
-  void onMessage(rdma::NodeId Dst, rdma::NodeId Src,
-                 const std::vector<std::uint8_t> &Msg);
+  void onMessage(rdma::NodeId Dst, rdma::NodeId Src, const Bytes &Msg);
   void applyPending(rdma::NodeId Node);
   bool depsSatisfied(const Replica &R,
                      const semantics::DepMap &D) const;

@@ -81,9 +81,9 @@ public:
   rdma::Transport &transport() override { return Cluster->transport(); }
   rdma::Fabric &fabric() { return Cluster->fabric(); }
   const ObjectType &objectType() const override { return *Adapter; }
-  void submit(rdma::NodeId Origin, const Call &C,
+  void submit(rdma::NodeId Origin, Call C,
               runtime::SubmitCallback Done) override {
-    Cluster->submit(Origin, C, std::move(Done));
+    Cluster->submit(Origin, std::move(C), std::move(Done));
   }
   bool fullyReplicated() const override {
     return Cluster->fullyReplicated();

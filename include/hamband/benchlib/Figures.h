@@ -44,6 +44,11 @@ struct FigureRow {
   /// Elements pre-seeded into every replica's summary by Options.PreSeed
   /// (fig_bigstate; 0 = none).
   std::uint64_t SeedElements = 0;
+  /// Wall-clock rows: independent episodes whose median-throughput run
+  /// is reported, with the spread (RunResult::Episodes). Pinned like the
+  /// op count; TableScale::Reps does not apply. 0 = the averaged
+  /// Options.Repetitions.
+  unsigned Episodes = 0;
 };
 
 /// A named list of rows.
@@ -64,7 +69,8 @@ struct TableScale {
   /// big-state sweeps shrink their object and element counts.
   bool Smoke = false;
   /// Repetitions averaged per row (fig_bigstate always runs one: its
-  /// bytes-per-call divides one run's byte counter by that run's calls).
+  /// bytes-per-call divides one run's byte counter by that run's calls;
+  /// the shm rows run their pinned Episodes instead).
   unsigned Reps = 1;
 };
 
@@ -73,6 +79,9 @@ constexpr std::uint64_t SmokeOps = 600;
 
 /// Default op count of the unpinned gated report rows.
 constexpr std::uint64_t ReportOps = 6000;
+
+/// Episodes per wall-clock shm row (FigureRow::Episodes).
+constexpr unsigned ShmEpisodes = 5;
 
 /// Builds the whole table, sized by \p Scale. Figures come in report
 /// order: the gated sim sections, the shm points, then the paper figures.

@@ -90,11 +90,23 @@ struct RunResult {
   bool ReconfigInstalled = false;
   /// Client calls that hit the closed-epoch window and were retried.
   std::uint64_t WrongEpochRetries = 0;
+
+  // -- Repeated episodes (medianRun) ---------------------------------------
+  /// Episodes behind a median result (0 for a single or averaged run) and
+  /// the lowest and highest throughput among them.
+  unsigned Episodes = 0;
+  double MinThroughputOpsPerUs = 0;
+  double MaxThroughputOpsPerUs = 0;
 };
 
 /// Averages the scalar fields of several runs (the paper reports the
 /// average of 3 repetitions).
 RunResult averageRuns(const std::vector<RunResult> &Runs);
+
+/// The run of median throughput (the lower middle one for an even count),
+/// with the episode count and the throughput spread of all \p Runs. For
+/// wall-clock points, where one run's noise is large.
+RunResult medianRun(std::vector<RunResult> Runs);
 
 } // namespace benchlib
 } // namespace hamband

@@ -34,7 +34,6 @@
 #include "hamband/sim/Simulator.h"
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -71,8 +70,8 @@ public:
   /// without involving the destination CPU. \p OnComplete (optional) fires
   /// on the source after the completion-queue delay. Writes from the same
   /// source to the same destination are delivered in post order (RC FIFO).
-  void postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
-                 std::vector<std::uint8_t> Data,
+  /// The in-flight write shares \p Data's buffer until delivery.
+  void postWrite(NodeId Src, NodeId Dst, MemOffset DstOff, const Bytes &Data,
                  RegionKey Key = UnprotectedRegion,
                  CompletionFn OnComplete = nullptr,
                  unsigned Lane = LaneClient) override;
@@ -88,7 +87,7 @@ public:
   /// receiver's RecvHandler runs on its CPU; if the receiver has crashed
   /// the message is silently dropped and the completion still succeeds
   /// (TCP-like: the sender cannot tell).
-  void send(NodeId Src, NodeId Dst, std::vector<std::uint8_t> Msg,
+  void send(NodeId Src, NodeId Dst, const Bytes &Msg,
             CompletionFn OnComplete = nullptr,
             unsigned Lane = LaneClient) override;
 
@@ -98,8 +97,8 @@ public:
   /// Runs \p Fn on \p Node's CPU lane \p Lane after the lane has executed
   /// everything already queued, charging \p Cost of CPU time. Work within
   /// a lane is serial; lanes run in parallel. If the node crashed, \p Fn
-  /// is dropped.
-  void runOnCpu(NodeId Node, sim::SimDuration Cost, std::function<void()> Fn,
+  /// is dropped (the event is guarded by the node's aliveness).
+  void runOnCpu(NodeId Node, sim::SimDuration Cost, TaskFn Fn,
                 unsigned Lane = LaneClient) override;
 
   /// The same CpuTask event runOnCpu posts, with an empty closure.
@@ -110,8 +109,7 @@ public:
 
   /// A per-node timer is just a simulator event: it fires even on a
   /// crashed node, exactly as raw Sim.schedule() always has.
-  void runAfter(NodeId Node, sim::SimDuration Delay,
-                std::function<void()> Fn) override {
+  void runAfter(NodeId Node, sim::SimDuration Delay, TaskFn Fn) override {
     Sim.schedule(Delay, {sim::EventKind::Timer, Node}, std::move(Fn));
   }
 
@@ -119,13 +117,13 @@ public:
   /// exactly runAfter, so simulated timing does not depend on which
   /// timers wait for a peer's write.
   void runAfterOrWrite(NodeId Node, sim::SimDuration Delay,
-                       std::function<void()> Fn) override {
+                       TaskFn Fn) override {
     runAfter(Node, Delay, std::move(Fn));
   }
 
   /// The single simulator thread IS every node's execution context, so a
   /// driver-side call into node state simply runs inline.
-  void callOn(NodeId Node, std::function<void()> Fn) override {
+  void callOn(NodeId Node, TaskFn Fn) override {
     (void)Node;
     Fn();
   }

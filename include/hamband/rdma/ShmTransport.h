@@ -15,8 +15,11 @@
 /// the sim/shm feature matrix.
 ///
 /// Execution model per node: one worker thread owning a FIFO task queue
-/// and two timer heaps. runOnCpu/callOn/two-sided delivery/completions are
-/// tasks (dropped once the node crashes); timer deadlines fire even on a
+/// and two timer heaps, all vector-backed so a steady stream of tasks and
+/// timers allocates nothing. runOnCpu/callOn/two-sided delivery/
+/// completions are tasks (dropped once the node crashes); a verb
+/// completion is queued as the CompletionFn itself plus its status, never
+/// wrapped in a second closure. Timer deadlines fire even on a
 /// crashed node, matching raw simulator timers. A callOn made from the
 /// target node's own worker runs inline, as on the simulator. Lane
 /// numbers and CPU costs are accepted and ignored (chargeCpu is a no-op):
@@ -52,11 +55,11 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 namespace hamband {
 namespace rdma {
@@ -81,8 +84,9 @@ public:
   MemoryRegion &memory(NodeId Node) override;
   const MemoryRegion &memory(NodeId Node) const override;
 
-  void postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
-                 std::vector<std::uint8_t> Data,
+  /// Copies \p Data into the destination region inline, before it
+  /// returns; the backend keeps no reference to the buffer.
+  void postWrite(NodeId Src, NodeId Dst, MemOffset DstOff, const Bytes &Data,
                  RegionKey Key = UnprotectedRegion,
                  CompletionFn OnComplete = nullptr,
                  unsigned Lane = LaneClient) override;
@@ -91,27 +95,26 @@ public:
                 ReadCompletionFn OnComplete,
                 unsigned Lane = LaneClient) override;
 
-  void send(NodeId Src, NodeId Dst, std::vector<std::uint8_t> Msg,
+  void send(NodeId Src, NodeId Dst, const Bytes &Msg,
             CompletionFn OnComplete = nullptr,
             unsigned Lane = LaneClient) override;
 
   void setRecvHandler(NodeId Node, RecvHandler Handler) override;
 
-  void runOnCpu(NodeId Node, sim::SimDuration Cost, std::function<void()> Fn,
+  void runOnCpu(NodeId Node, sim::SimDuration Cost, TaskFn Fn,
                 unsigned Lane = LaneClient) override;
 
   /// Ignores costs, like runOnCpu: nothing to do.
   void chargeCpu(NodeId, sim::SimDuration, unsigned = LaneClient) override {}
 
-  void runAfter(NodeId Node, sim::SimDuration Delay,
-                std::function<void()> Fn) override;
+  void runAfter(NodeId Node, sim::SimDuration Delay, TaskFn Fn) override;
 
   void runAfterOrWrite(NodeId Node, sim::SimDuration Delay,
-                       std::function<void()> Fn) override;
+                       TaskFn Fn) override;
 
   /// Inline (if \p Node is alive) when called from \p Node's own worker;
   /// enqueued otherwise.
-  void callOn(NodeId Node, std::function<void()> Fn) override;
+  void callOn(NodeId Node, TaskFn Fn) override;
 
   RegionKey createRegionKey() override;
   void setWritePermission(NodeId Target, NodeId Writer, RegionKey Key,
@@ -152,11 +155,60 @@ public:
   bool idle() const override;
 
 private:
+  /// One queued unit of node work: a closure, or a verb completion with
+  /// its status.
   struct Task {
-    std::function<void()> Fn;
+    TaskFn Fn;
+    CompletionFn Done;
+    WcStatus Status = WcStatus::Success;
     /// Dropped unexecuted once the node crashed (runOnCpu, deliveries,
     /// completions). Timer tasks are exempt, like raw simulator events.
     bool NeedsAlive = true;
+
+    void run() {
+      if (Fn)
+        Fn();
+      else
+        Done(Status);
+    }
+  };
+
+  /// FIFO of tasks in a vector ring that grows by doubling and never
+  /// shrinks.
+  class TaskQueue {
+  public:
+    bool empty() const { return Count == 0; }
+    void push(Task T);
+    Task pop();
+    void clear();
+
+  private:
+    std::vector<Task> Ring;
+    std::size_t Head = 0;
+    std::size_t Count = 0;
+  };
+
+  /// A timer: due at Deadline; Seq keeps equal deadlines in arming order.
+  struct Timer {
+    std::uint64_t Deadline = 0;
+    std::uint64_t Seq = 0;
+    TaskFn Fn;
+  };
+
+  /// Min-heap of timers keyed by (Deadline, Seq).
+  class TimerHeap {
+  public:
+    bool empty() const { return Heap.empty(); }
+    std::uint64_t nextDeadline() const { return Heap.front().Deadline; }
+    void push(std::uint64_t Deadline, TaskFn Fn);
+    /// Moves every timer due by \p Until to the back of \p Queue, in
+    /// (deadline, arming) order.
+    void promoteDue(std::uint64_t Until, TaskQueue &Queue);
+    void clear() { Heap.clear(); }
+
+  private:
+    std::vector<Timer> Heap;
+    std::uint64_t NextSeq = 0;
   };
 
   /// Verbs posted by one source node, alone on its cache line: only the
@@ -174,12 +226,13 @@ private:
     MemoryRegion Mem;
     std::mutex Mu;
     std::condition_variable Cv;
-    std::deque<Task> Queue;
-    std::multimap<std::uint64_t, Task> Timers; // deadline ns -> task
+    TaskQueue Queue;
+    TimerHeap Timers;
     /// runAfterOrWrite timers: due at their deadline or at the next
     /// doorbell, whichever comes first.
-    std::multimap<std::uint64_t, Task> WakeTimers;
-    RecvHandler OnRecv;                        // guarded by Mu
+    TimerHeap WakeTimers;
+    /// Shared so a delivery can call it outside Mu; guarded by Mu.
+    std::shared_ptr<RecvHandler> OnRecv;
     /// Pause handshake, all guarded by Mu. The worker starts no task
     /// while Paused; Running is set while it executes one; a pauser
     /// waiting for the running task to end sets PauserWaiting and sleeps
@@ -199,9 +252,9 @@ private:
   };
 
   void workerLoop(ShmNode &N);
-  void enqueue(NodeId Node, std::function<void()> Fn, bool NeedsAlive);
-  void addTimer(ShmNode &N, std::multimap<std::uint64_t, Task> &Heap,
-                sim::SimDuration Delay, std::function<void()> Fn);
+  void enqueue(NodeId Node, Task T);
+  void addTimer(ShmNode &N, TimerHeap &Heap, sim::SimDuration Delay,
+                TaskFn Fn);
   void ringDoorbell(ShmNode &N);
   std::uint64_t
   sumPosted(std::atomic<std::uint64_t> VerbTotals::*Field) const;

@@ -19,7 +19,9 @@
 /// The verb contract both backends honor:
 ///
 ///  - postWrite: the payload lands in the destination region without any
-///    destination CPU involvement; writes from one source to one
+///    destination CPU involvement. The backend copies the payload (shm)
+///    or shares its Bytes buffer (sim) before postWrite returns, so the
+///    caller may drop its handle at once. Writes from one source to one
 ///    destination are observed in post order (RC FIFO). Within one write
 ///    the bytes become visible in increasing address order and the LAST
 ///    byte carries release semantics, which is what the single-writer
@@ -30,6 +32,9 @@
 ///  - runOnCpu / two-sided delivery / completions: execute in the target
 ///    node's serial execution context and are dropped once the node has
 ///    crashed. chargeCpu occupies a lane like runOnCpu with no closure.
+///    Every closure and completion handed to a verb is a move-only
+///    UniqueFunction: the backend owns it from then on and runs it at most
+///    once (a dropped one is destroyed unrun).
 ///  - Timers: runAfter fires after its delay, never earlier.
 ///    runAfterOrWrite fires after its delay at the latest, and may fire
 ///    earlier once a peer's permitted one-sided write has landed in the
@@ -46,9 +51,10 @@
 #include "hamband/rdma/MemoryRegion.h"
 #include "hamband/rdma/NetworkModel.h"
 #include "hamband/sim/SimTime.h"
+#include "hamband/support/Bytes.h"
+#include "hamband/support/UniqueFunction.h"
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -72,16 +78,18 @@ enum class WcStatus {
   AccessError,
 };
 
+/// A unit of node work: CPU tasks, timers and callOn closures.
+using TaskFn = UniqueFunction<void()>;
+
 /// Completion callback for writes and sends.
-using CompletionFn = std::function<void(WcStatus)>;
+using CompletionFn = UniqueFunction<void(WcStatus)>;
 
 /// Completion callback for reads; Data is empty on error.
 using ReadCompletionFn =
-    std::function<void(WcStatus, std::vector<std::uint8_t> Data)>;
+    UniqueFunction<void(WcStatus, std::vector<std::uint8_t> Data)>;
 
 /// Handler invoked on the receiver CPU for two-sided messages.
-using RecvHandler =
-    std::function<void(NodeId Src, const std::vector<std::uint8_t> &Msg)>;
+using RecvHandler = UniqueFunction<void(NodeId Src, const Bytes &Msg)>;
 
 /// Which transport backend a cluster runs on.
 enum class TransportKind {
@@ -149,7 +157,7 @@ public:
   /// Posts a one-sided RDMA WRITE of \p Data to (\p Dst, \p DstOff); see
   /// the file comment for the visibility/ordering contract.
   virtual void postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
-                         std::vector<std::uint8_t> Data,
+                         const Bytes &Data,
                          RegionKey Key = UnprotectedRegion,
                          CompletionFn OnComplete = nullptr,
                          unsigned Lane = LaneClient) = 0;
@@ -161,7 +169,7 @@ public:
 
   /// Sends a two-sided message; the receiver's RecvHandler runs in its
   /// execution context. Dropped silently at a crashed receiver.
-  virtual void send(NodeId Src, NodeId Dst, std::vector<std::uint8_t> Msg,
+  virtual void send(NodeId Src, NodeId Dst, const Bytes &Msg,
                     CompletionFn OnComplete = nullptr,
                     unsigned Lane = LaneClient) = 0;
 
@@ -171,8 +179,7 @@ public:
   /// Runs \p Fn in \p Node's serial execution context after everything
   /// already queued, charging \p Cost of (virtual) CPU time. Dropped when
   /// the node crashed.
-  virtual void runOnCpu(NodeId Node, sim::SimDuration Cost,
-                        std::function<void()> Fn,
+  virtual void runOnCpu(NodeId Node, sim::SimDuration Cost, TaskFn Fn,
                         unsigned Lane = LaneClient) = 0;
 
   /// Charges \p Cost of (virtual) CPU time to \p Node's \p Lane with no
@@ -186,8 +193,7 @@ public:
   /// timer this keeps firing on a crashed node; the closure must re-check
   /// aliveness if it matters (verbs posted from a crashed node are
   /// dropped anyway).
-  virtual void runAfter(NodeId Node, sim::SimDuration Delay,
-                        std::function<void()> Fn) = 0;
+  virtual void runAfter(NodeId Node, sim::SimDuration Delay, TaskFn Fn) = 0;
 
   /// Like runAfter, but the timer may fire before \p Delay once a peer's
   /// permitted one-sided write has landed in \p Node's memory: for
@@ -197,7 +203,7 @@ public:
   /// backstop. The closure still finds the data only by reading its own
   /// memory.
   virtual void runAfterOrWrite(NodeId Node, sim::SimDuration Delay,
-                               std::function<void()> Fn) = 0;
+                               TaskFn Fn) = 0;
 
   /// Invokes \p Fn in \p Node's execution context with no simulated cost.
   /// Inline whenever the caller already runs in \p Node's context: always
@@ -205,7 +211,7 @@ public:
   /// backend when called from \p Node's own worker (a crashed node runs
   /// nothing). From any other thread the shm backend enqueues it to the
   /// node's worker. The entry point for driver-side calls into node state.
-  virtual void callOn(NodeId Node, std::function<void()> Fn) = 0;
+  virtual void callOn(NodeId Node, TaskFn Fn) = 0;
 
   /// Allocates a fresh region key for permission-controlled writes.
   virtual RegionKey createRegionKey() = 0;

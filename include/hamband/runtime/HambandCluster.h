@@ -76,8 +76,7 @@ public:
   }
   rdma::Transport &transport() override { return *Trans; }
   const ObjectType &objectType() const override { return Type; }
-  void submit(rdma::NodeId Origin, const Call &C,
-              SubmitCallback Done) override;
+  void submit(rdma::NodeId Origin, Call C, SubmitCallback Done) override;
   bool fullyReplicated() const override;
   void injectFailure(rdma::NodeId Node) override;
   bool isFailed(rdma::NodeId Node) const override { return Failed[Node]; }
@@ -232,11 +231,7 @@ private:
   std::vector<std::unique_ptr<HambandNode>> Nodes;
   std::vector<bool> Failed;
   /// One origin's outstanding calls, and the updates among them.
-  struct alignas(64) OriginCounts {
-    std::atomic<std::uint64_t> Calls{0};
-    std::atomic<std::uint64_t> Updates{0};
-  };
-  std::unique_ptr<OriginCounts[]> PerOrigin;
+  std::unique_ptr<OutstandingCalls[]> PerOrigin;
   sim::FaultInjector *FaultInj = nullptr;
   std::unique_ptr<ReconfigManager> Reconfig;
 };

@@ -43,6 +43,7 @@
 #include "hamband/runtime/Runtime.h"
 #include "hamband/runtime/WireFormat.h"
 
+#include <atomic>
 #include <deque>
 #include <map>
 #include <memory>
@@ -51,6 +52,37 @@
 
 namespace hamband {
 namespace runtime {
+
+/// Counts of a cluster's submitted calls still pending at one origin, each
+/// origin on its own cache line. The cluster increments them at submit;
+/// the origin node decrements them when the call completes.
+struct alignas(64) OutstandingCalls {
+  std::atomic<std::uint64_t> Calls{0};
+  std::atomic<std::uint64_t> Updates{0};
+};
+
+/// A client call at its origin node, from submit to completion. It is
+/// allocated once, moved (never copied) through every stage -- the CPU
+/// task, a batch, the leader queue, a redirect -- and completed exactly
+/// once by HambandNode.
+struct PendingCall {
+  PendingCall() = default;
+  PendingCall(Call C, SubmitCallback Done,
+              OutstandingCalls *Counts = nullptr, bool IsUpdate = false)
+      : TheCall(std::move(C)), Done(std::move(Done)), Counts(Counts),
+        IsUpdate(IsUpdate) {}
+
+  Call TheCall;
+  /// Empty for a conflicting call forwarded from another origin.
+  SubmitCallback Done;
+  /// Decremented at completion; null when the call was not submitted
+  /// through a cluster.
+  OutstandingCalls *Counts = nullptr;
+  bool IsUpdate = false;
+  /// When the origin accepted the call (node.resp_ns).
+  sim::SimTime SubmittedAt = 0;
+};
+using PendingCallPtr = std::unique_ptr<PendingCall>;
 
 /// Reduction-aware batching of the broadcast hot path (docs/batching.md).
 ///
@@ -159,7 +191,10 @@ public:
   void start();
 
   /// Handles a client call arriving at this node.
-  void submit(const Call &C, SubmitCallback Done);
+  void submit(PendingCallPtr P);
+  void submit(Call C, SubmitCallback Done) {
+    submit(std::make_unique<PendingCall>(std::move(C), std::move(Done)));
+  }
 
   /// Failure injection: stop the heartbeat thread (peers will suspect us).
   void suspendHeartbeat() { Detector->suspendBeating(); }
@@ -353,7 +388,7 @@ public:
                          const std::vector<std::uint64_t> &ConfNext);
 
   /// The retained irreducible-call log (Cfg.Reconfig.Enabled only).
-  const std::vector<std::vector<std::uint8_t>> &reconfigLog() const {
+  const std::vector<Bytes> &reconfigLog() const {
     return ReconfigLog;
   }
 
@@ -366,8 +401,8 @@ public:
 
 private:
   struct PendingConfRequest {
-    Call TheCall;
-    SubmitCallback Done;
+    /// The call; its Done is empty for a request forwarded by a peer.
+    PendingCallPtr Call;
     unsigned Group = 0;
     sim::SimTime SentAt = 0;
     rdma::NodeId SentTo = 0;
@@ -377,15 +412,19 @@ private:
   };
 
   // Request paths.
-  void handleQuery(const Call &C, SubmitCallback Done);
-  void handleReduce(Call C, SubmitCallback Done);
-  void handleFree(Call C, SubmitCallback Done);
-  void handleConf(Call C, SubmitCallback Done);
-  /// Leader-side processing of a conflicting call (local or forwarded).
-  /// \p WaitDeadline carries the permissibility-wait deadline across
-  /// retries (0 on first arrival).
-  void leaderProcessConf(unsigned Group, ProcessId Origin, RequestId ReqId,
-                         Call C, SubmitCallback LocalDone,
+  void handleQuery(PendingCallPtr P);
+  void handleReduce(PendingCallPtr P);
+  void handleFree(PendingCallPtr P);
+  void handleConf(PendingCallPtr P);
+  /// Completes a client call at its origin: records node.resp_ns,
+  /// releases the cluster's outstanding count and runs the callback.
+  void complete(PendingCallPtr P, bool Ok, Value Result);
+  /// Like complete() without the latency record (calls refused at submit).
+  void finish(PendingCall &P, bool Ok, Value Result);
+  /// Leader-side processing of a conflicting call, local (\p Origin ==
+  /// Self) or forwarded. \p WaitDeadline carries the permissibility-wait
+  /// deadline across retries (0 on first arrival).
+  void leaderProcessConf(unsigned Group, ProcessId Origin, PendingCallPtr P,
                          sim::SimTime WaitDeadline = 0);
   void retryLeaderQueue(unsigned Group);
   /// Leader-side outcome of a conflicting call.
@@ -398,10 +437,18 @@ private:
     /// should retry against the current leader.
     Retry = 2,
   };
+  /// Answers \p Origin; a local call (\p Origin == Self) completes \p Local.
   void respondConf(ProcessId Origin, RequestId ReqId, ConfOutcome Outcome,
-                   SubmitCallback LocalDone);
+                   PendingCallPtr Local);
+  /// Encodes a conflicting-call request for the leader's mailbox.
+  Bytes encodeConfRequest(const Call &C) const;
+  /// Appends \p Record to the mailbox ring to \p Peer, retrying while the
+  /// ring is full.
+  void mailTo(rdma::NodeId Peer, Bytes Record);
   /// Re-sends timed-out redirected calls to the (possibly new) leader.
   void checkConfTimeouts();
+  /// Arms the periodic checkConfTimeouts() scan.
+  void scheduleConfTick();
 
   // Poller.
   void schedulePoll();
@@ -412,7 +459,7 @@ private:
   unsigned pollMailboxes();
   unsigned applyPendingFree();
   unsigned applyPendingConf();
-  void handleMail(ProcessId From, const MailMsg &Msg);
+  void handleMail(ProcessId From, MailMsg Msg);
 
   // State helpers.
   void markVisibleDirty() { VisibleDirty = true; }
@@ -447,7 +494,9 @@ private:
                                        std::size_t NumCounts);
   /// Methods of summarization group \p G (the applied-count rows a
   /// summary image of the group carries).
-  std::vector<MethodId> groupMethods(unsigned G) const;
+  const std::vector<MethodId> &groupMethods(unsigned G) const {
+    return GroupMethods[G];
+  }
   /// Maximum summary arguments per full-image chunk so the encoded frame
   /// fits one (possibly spanning) F-ring record. Always >= 1.
   std::size_t frameChunkMaxArgs() const;
@@ -457,25 +506,23 @@ private:
   /// BEFORE folding, so an unshippable call is rejected (Done(false))
   /// without mutating any replicated state.
   bool fullImageShippable(const Call &Summary, std::size_t NumCounts) const;
-  /// Posts one encoded frame record to every peer's F-ring; \p OnOne runs
-  /// per completed peer write.
-  void postFrameToPeers(const std::vector<std::uint8_t> &Bytes,
-                        std::function<void()> OnOne);
   /// Enqueues one F-ring record for \p Peer and drains the per-peer
   /// outbound queue strictly head-first. Both the chunk-reassembly rules
   /// and the FreeSeqNext dedup cursor assume the F-ring is FIFO per
   /// source, so a full ring must STALL the stream, never reorder it:
   /// independent per-record retries would let a retried chunk of one
   /// image land after a later image's chunks, wedging reassembly.
-  void appendFreeOrdered(rdma::NodeId Peer, std::vector<std::uint8_t> Bytes,
+  void appendFreeOrdered(rdma::NodeId Peer, const Bytes &Record,
                          rdma::CompletionFn Done);
   /// Appends queued records for \p Peer until the ring fills; re-arms a
   /// retry timer while records remain.
   void drainFreeOutbound(rdma::NodeId Peer);
+  /// Arms the retry timer of \p Peer's queue unless it is empty or armed.
+  void armFreeOutbound(rdma::NodeId Peer);
   /// Encodes group \p G's image \p Img as Full=1 chunk frames (element-
   /// wise decomposition when the type supports it).
-  std::vector<std::vector<std::uint8_t>>
-  encodeFullFrames(unsigned G, const SummaryImage &Img) const;
+  std::vector<Bytes> encodeFullFrames(unsigned G,
+                                     const SummaryImage &Img) const;
   /// Receive path shared by the ring poller and backup-slot recovery.
   /// Returns true when the frame advanced the (group, src) version.
   bool handleSummaryFrame(ProcessId Src, const SummaryDeltaFrame &F);
@@ -489,7 +536,8 @@ private:
   /// frames or through broadcast recovery: dedups by version, then
   /// retries buffered frames now unblocked by the version jump. False
   /// when the image is not newer than the one installed.
-  bool installFullImage(unsigned G, ProcessId Src, SummaryImage Img);
+  /// Takes \p Img's summary (leaving the replaced one in its place).
+  bool installFullImage(unsigned G, ProcessId Src, SummaryImage &Img);
 
   rdma::Transport &Fabric;
   rdma::NodeId Self;
@@ -518,6 +566,9 @@ private:
   bool VisibleDirty = true;
   std::vector<std::vector<std::uint64_t>> Applied; // [proc][method]
 
+  /// groupMethods() per summarization group.
+  std::vector<std::vector<MethodId>> GroupMethods;
+
   // Summaries: cached deserialized images per (sum group, source).
   std::vector<std::vector<std::optional<Call>>> SummaryCache;
   std::vector<std::vector<std::uint64_t>> SummarySeqSeen;
@@ -532,13 +583,17 @@ private:
   /// per peer (see appendFreeOrdered: the F-ring must stay FIFO per
   /// source even when a full ring forces retries).
   struct OutboundRecord {
-    std::vector<std::uint8_t> Bytes;
+    Bytes Record;
     rdma::CompletionFn Done;
   };
   std::vector<std::deque<OutboundRecord>> FreeOutbound; // [peer]
   /// Whether a retry timer is already armed for the peer's queue.
   std::vector<char> FreeOutboundArmed; // [peer]
   std::vector<std::unique_ptr<RingReader>> ConfReaders;  // [group]
+  /// Record buffer and summary image the pollers reuse, so a traversal
+  /// allocates nothing.
+  std::vector<std::uint8_t> PollBuf;
+  SummaryImage RecvImage;
   std::vector<std::unique_ptr<RingReader>> MailReaders;  // [peer]
   std::vector<std::unique_ptr<RingWriter>> MailWriters;  // [peer]
 
@@ -551,6 +606,12 @@ private:
   /// Conflicting calls this (leader) node appended but not yet applied,
   /// used for speculative permissibility checks.
   std::vector<std::deque<Call>> LeaderSpeculative; // [group]
+  /// Entries this leader appended whose commit is still pending, keyed by
+  /// a per-append token (a log index can be reused after a leadership
+  /// change); a commit re-keys the map node by log index and moves it
+  /// into ConfPending.
+  std::vector<std::map<std::uint64_t, WireCall>> LeaderUncommitted; // [group]
+  std::uint64_t NextAppendToken = 0;
   /// Leader-side queue when the consensus instance is busy/full.
   std::vector<std::deque<PendingConfRequest>> LeaderQueue; // [group]
 
@@ -575,19 +636,29 @@ private:
 
   // Batching state: the calls accumulated for the next flush.
   struct BatchedFree {
-    std::vector<std::uint8_t> Bytes; // encodeCall output
-    SubmitCallback Done;
+    Bytes Encoded; // encodeCall output
+    /// Completed when the flush's writes complete (null when the call
+    /// already completed: RespondAfterCompletion off).
+    PendingCallPtr Call;
   };
   std::vector<BatchedFree> FreeBatch;
   std::size_t FreeBatchBytes = 0;
   /// Calls folded into each group's summary since its last shipped image.
   std::vector<std::uint32_t> SumBatchCalls; // [group]
-  std::vector<std::vector<SubmitCallback>> SumBatchDone; // [group]
+  std::vector<std::vector<PendingCallPtr>> SumBatchDone; // [group]
   std::uint32_t BatchedPending = 0;
   /// When the oldest unflushed call was enqueued (timeout backstop).
   sim::SimTime OldestPendingAt = 0;
   unsigned FlushesInFlight = 0;
   bool FlushTimerArmed = false;
+  /// Buffers flushBatches() reuses from flush to flush (it never runs
+  /// nested), so a flush does not reallocate them.
+  struct {
+    std::vector<unsigned> DirtyGroups;
+    std::vector<std::pair<unsigned, Bytes>> SlotWrites;
+    SummaryImage Image;
+    FlushImage Staged;
+  } Scratch;
   obs::Counter *CtrFlushPipe = nullptr;
   obs::Counter *CtrFlushSize = nullptr;
   obs::Counter *CtrFlushTimeout = nullptr;
@@ -639,7 +710,7 @@ private:
   std::vector<std::uint8_t> Active;
   /// Irreducible calls in local apply order (Cfg.Reconfig.Enabled only):
   /// the donor's transfer log for joiners.
-  std::vector<std::vector<std::uint8_t>> ReconfigLog;
+  std::vector<Bytes> ReconfigLog;
   obs::Counter *CtrWrongEpochReject = nullptr;
   obs::Counter *CtrCrossEpochDrop = nullptr;
   obs::Counter *CtrCrossEpochApply = nullptr;

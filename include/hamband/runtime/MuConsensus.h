@@ -89,14 +89,18 @@ public:
   /// and no follower ring is full).
   bool canAppend() const;
 
-  /// Leader-only: replicates \p EntryBytes as the next log entry.
-  /// \p OnCommitted fires with true once a majority of follower writes
-  /// completed (the leader's own copy counts toward the majority), or
-  /// false when the append cannot commit (lost leadership). Returns false
-  /// without posting anything when this node is not the (ready) leader or
-  /// a follower ring is full (caller retries).
-  bool leaderAppend(const std::vector<std::uint8_t> &EntryBytes,
-                    std::function<void(bool)> OnCommitted);
+  /// Fired once per append: true when committed, false when it cannot be.
+  using CommitFn = UniqueFunction<void(bool Committed)>;
+
+  /// Leader-only: replicates \p EntryBytes as the next log entry. The one
+  /// buffer is kept in the log cache and framed into every follower's
+  /// ring write. \p OnCommitted fires with true once a majority of
+  /// follower writes completed (the leader's own copy counts toward the
+  /// majority), or false when the append cannot commit (lost leadership).
+  /// Returns false without posting anything (and without consuming
+  /// \p OnCommitted) when this node is not the (ready) leader or a
+  /// follower ring is full (caller retries).
+  bool leaderAppend(const Bytes &EntryBytes, CommitFn &&OnCommitted);
 
   /// Failure-detector hook: if \p Peer is the current leader, campaign.
   void onPeerSuspected(rdma::NodeId Peer);
@@ -143,6 +147,13 @@ private:
   void campaign();
   void becomeLeaderAfterCatchUp(std::uint64_t MaxReceived,
                                 rdma::NodeId MaxHolder);
+  /// Catch-up chain: reads entry \p Index from \p Holder's ring, delivers
+  /// it, and continues with the next index from the read's completion
+  /// until \p MaxReceived.
+  void fetchEntry(std::uint64_t Index, std::uint64_t MaxReceived,
+                  rdma::NodeId Holder);
+  /// Ends a catch-up at \p LogIndex: the leader is ready to append.
+  void finishCatchUp(std::uint64_t LogIndex);
   void replicateMissingToFollowers();
   RingWriter &writerTo(rdma::NodeId Follower);
 
@@ -171,7 +182,7 @@ private:
   std::vector<bool> AckSeen;
   /// Recent entry payloads for laggard replication, pruned as followers
   /// advance.
-  std::map<std::uint64_t, std::vector<std::uint8_t>> LogCache;
+  std::map<std::uint64_t, Bytes> LogCache;
 };
 
 } // namespace runtime

@@ -65,7 +65,7 @@ struct Membership {
 /// Serialized membership record written one-sided into each node's
 /// membership slot during Install:
 ///   u32 magic | u32 epoch | u32 n | n x u8 active
-std::vector<std::uint8_t> encodeMembership(const Membership &M);
+Bytes encodeMembership(const Membership &M);
 bool decodeMembership(const std::uint8_t *Data, std::size_t Len,
                       Membership &Out);
 
@@ -94,7 +94,7 @@ struct ReconfigConfig {
 /// Minimal serialized call for the transfer log: u16 method | u16 argc |
 /// u32 issuer | u64 req | i64 args[argc]. (No deps/seq: transferred calls
 /// are applied unconditionally in donor apply order.)
-std::vector<std::uint8_t> encodeLoggedCall(const Call &C);
+Bytes encodeLoggedCall(const Call &C);
 bool decodeLoggedCall(const std::uint8_t *Data, std::size_t Len, Call &Out);
 
 /// Everything a joiner needs to catch up to the drained cluster state:
@@ -109,18 +109,17 @@ struct TransferImage {
   /// [node] next expected broadcast sequence per issuer.
   std::vector<std::uint64_t> FreeSeqNext;
   /// [sum group][source]: (version, encodeSummary bytes; empty = none).
-  std::vector<std::vector<std::pair<std::uint64_t, std::vector<std::uint8_t>>>>
-      Summaries;
+  std::vector<std::vector<std::pair<std::uint64_t, Bytes>>> Summaries;
   /// [sync group] agreed next log index (== every member's received
   /// count after Drain).
   std::vector<std::uint64_t> ConfNextIndex;
   /// encodeLoggedCall entries in donor apply order: every irreducible
   /// (conflict-free or conflicting) call folded into the donor's stored
   /// state.
-  std::vector<std::vector<std::uint8_t>> IrreducibleLog;
+  std::vector<Bytes> IrreducibleLog;
 };
 
-std::vector<std::uint8_t> encodeTransferImage(const TransferImage &Img);
+Bytes encodeTransferImage(const TransferImage &Img);
 bool decodeTransferImage(const std::uint8_t *Data, std::size_t Len,
                          TransferImage &Out);
 
@@ -196,7 +195,7 @@ private:
   unsigned StableRounds = 0;
   bool ProbeInFlight = false;
   std::vector<std::uint64_t> ConfNext;
-  std::vector<std::uint8_t> TransferBytes;
+  Bytes TransferBytes;
   std::size_t TransferOffset = 0;
   bool TransferKicked = false;
   std::atomic<bool> TransferDone{false};

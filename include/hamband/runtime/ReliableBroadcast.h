@@ -65,8 +65,7 @@ public:
   /// Stages a message in the local backup slot (a local store -- it must
   /// happen before the remote writes are posted). \p Epoch is the
   /// stager's membership epoch (0 on fixed-membership clusters).
-  void stage(Kind K, std::uint8_t Aux,
-             const std::vector<std::uint8_t> &Payload,
+  void stage(Kind K, std::uint8_t Aux, const Bytes &Payload,
              std::uint32_t Epoch = 0);
 
   /// Clears the slot after all remote writes completed.

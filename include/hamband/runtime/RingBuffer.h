@@ -88,9 +88,9 @@ public:
 
   /// Serializes \p Payload into the next cell and posts the remote write.
   /// Returns false (posting nothing) when the ring is full. \p OnComplete
-  /// fires on the writer when the RDMA write completes.
-  bool append(const std::vector<std::uint8_t> &Payload,
-              rdma::CompletionFn OnComplete = nullptr);
+  /// fires on the writer when the RDMA write completes; it is moved from
+  /// only when the append succeeds, so a caller can retry with it.
+  bool append(const Bytes &Payload, rdma::CompletionFn &&OnComplete = nullptr);
 
   /// Like append() but accepts payloads spanning up to maxSpanCells()
   /// consecutive cells. The whole span is shipped as ONE remote write with
@@ -99,9 +99,10 @@ public:
   /// preceded by a padding record (PadLen sentinel) filling the remainder
   /// of the lap, and the real record starts at cell 0; both writes ride
   /// the same FIFO channel, so the reader observes them in order. Returns
-  /// false (posting nothing) when the ring lacks room for pad + span.
-  bool appendRecord(const std::vector<std::uint8_t> &Payload,
-                    rdma::CompletionFn OnComplete = nullptr);
+  /// false (posting nothing, \p OnComplete untouched) when the ring lacks
+  /// room for pad + span.
+  bool appendRecord(const Bytes &Payload,
+                    rdma::CompletionFn &&OnComplete = nullptr);
 
   /// True when a record spanning \p Cells cells -- plus any wrap padding
   /// it would need at the current tail -- fits the ring right now.
@@ -160,7 +161,8 @@ public:
   /// complete record (single-cell or spanning) is present. Complete wrap
   /// padding records at the head are skipped (consumed) transparently, so
   /// callers only ever see real payloads. Does not consume the payload
-  /// record itself.
+  /// record itself. \p Out keeps its capacity across calls, so a reused
+  /// buffer makes a traversal allocation-free.
   bool peek(std::vector<std::uint8_t> &Out);
 
   /// Consumes the head record after a successful peek. A single-cell
@@ -201,12 +203,15 @@ public:
   void attachStats(obs::Registry &R);
 
 private:
-  /// Parses the record starting at absolute \p Index: fills \p Out with
-  /// the payload (empty for padding), \p SpanCells with the number of
-  /// cells it occupies and \p IsPad. False when the record is incomplete
-  /// (canary clear), stale (sequence mismatch) or malformed.
-  bool readRecordAt(std::uint64_t Index, std::vector<std::uint8_t> &Out,
+  /// Parses the record starting at absolute \p Index: fills \p Out (if
+  /// given) with the payload (empty for padding), \p SpanCells with the
+  /// number of cells it occupies and \p IsPad. False when the record is
+  /// incomplete (canary clear), stale (sequence mismatch) or malformed.
+  bool readRecordAt(std::uint64_t Index, std::vector<std::uint8_t> *Out,
                     std::uint32_t &SpanCells, bool &IsPad) const;
+
+  /// Posts the current head to the writer's feedback slot.
+  void postFeedback();
 
   /// Consumes \p SpanCells cells starting at Head (shared tail of consume
   /// and the transparent pad skip in peek).

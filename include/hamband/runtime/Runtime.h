@@ -18,15 +18,15 @@
 #include "hamband/obs/Metrics.h"
 #include "hamband/rdma/Transport.h"
 #include "hamband/sim/Simulator.h"
-
-#include <functional>
+#include "hamband/support/UniqueFunction.h"
 
 namespace hamband {
 namespace runtime {
 
 /// Completion callback for a submitted call: whether it was accepted
-/// (permissible / committed) and, for queries, the result value.
-using SubmitCallback = std::function<void(bool Ok, Value Result)>;
+/// (permissible / committed) and, for queries, the result value. Invoked
+/// at most once.
+using SubmitCallback = UniqueFunction<void(bool Ok, Value Result)>;
 
 /// Distinguished result value accompanying Done(false, WrongEpochValue)
 /// when an update arrives while a membership transition has the current
@@ -59,8 +59,7 @@ public:
   /// Submits a client call at node \p Origin. The runtime routes it
   /// (local execution, one-sided propagation, or leader redirection) and
   /// invokes \p Done when the call completes at the origin.
-  virtual void submit(rdma::NodeId Origin, const Call &C,
-                      SubmitCallback Done) = 0;
+  virtual void submit(rdma::NodeId Origin, Call C, SubmitCallback Done) = 0;
 
   /// True when every accepted update has been applied on every node.
   virtual bool fullyReplicated() const = 0;

@@ -107,8 +107,7 @@ public:
   /// shard. A call whose key was never registered is rejected
   /// (Done(false, 0), "keyspace.unknown_key" counter) without touching
   /// any shard.
-  void submit(rdma::NodeId Origin, const Call &C,
-              SubmitCallback Done) override;
+  void submit(rdma::NodeId Origin, Call C, SubmitCallback Done) override;
 
   /// Base-form convenience: submits \p Inner against the object named
   /// \p Id. Unknown ids are rejected like unknown keys.
@@ -210,10 +209,7 @@ private:
   std::vector<bool> FailedNode;
   std::vector<std::vector<bool>> FailedShard; // [shard][node]
   bool Started = false;
-  struct alignas(64) OriginCounts {
-    std::atomic<std::uint64_t> Calls{0};
-  };
-  std::unique_ptr<OriginCounts[]> PerOrigin;
+  std::unique_ptr<OutstandingCalls[]> PerOrigin;
   // Cached obs handles (registered at build time, lock-free afterwards).
   std::vector<obs::Counter *> CtrShardSubmitted; // [shard]
   obs::Counter *CtrUnknownKey = nullptr;

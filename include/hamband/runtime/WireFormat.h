@@ -21,6 +21,7 @@
 
 #include "hamband/core/ObjectType.h"
 #include "hamband/semantics/RdmaSemantics.h"
+#include "hamband/support/Bytes.h"
 
 #include <cstdint>
 #include <vector>
@@ -28,33 +29,14 @@
 namespace hamband {
 namespace runtime {
 
-/// Little-endian append-only byte writer.
-class ByteWriter {
-public:
-  void reserve(std::size_t N) { Bytes.reserve(N); }
-  std::vector<std::uint8_t> take() { return std::move(Bytes); }
-  std::size_t size() const { return Bytes.size(); }
-
-  void u8(std::uint8_t V) { Bytes.push_back(V); }
-  void bytes(const std::vector<std::uint8_t> &V) {
-    Bytes.insert(Bytes.end(), V.begin(), V.end());
-  }
-  void u16(std::uint16_t V);
-  void u32(std::uint32_t V);
-  void u64(std::uint64_t V);
-  void i64(std::int64_t V) { u64(static_cast<std::uint64_t>(V)); }
-
-private:
-  std::vector<std::uint8_t> Bytes;
-};
-
 /// Bounds-checked little-endian byte reader.
 class ByteReader {
 public:
   ByteReader(const std::uint8_t *Data, std::size_t Len)
       : Data(Data), Len(Len) {}
-  explicit ByteReader(const std::vector<std::uint8_t> &Bytes)
-      : Data(Bytes.data()), Len(Bytes.size()) {}
+  explicit ByteReader(const std::vector<std::uint8_t> &V)
+      : Data(V.data()), Len(V.size()) {}
+  explicit ByteReader(const Bytes &B) : Data(B.data()), Len(B.size()) {}
 
   bool ok() const { return !Failed; }
   std::size_t remaining() const { return Len - Pos; }
@@ -64,6 +46,8 @@ public:
   std::uint32_t u32();
   std::uint64_t u64();
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+  /// The next \p N bytes as a buffer of their own (empty on underrun).
+  Bytes bytes(std::size_t N);
 
 private:
   bool take(std::size_t N);
@@ -92,9 +76,8 @@ struct WireCall {
 ///   i64 args[argc], u64 depCounts[|P| * |Dep(method)|]
 /// The dependency block length is implied by the method id and the
 /// process count, as in the paper.
-std::vector<std::uint8_t> encodeCall(const CoordinationSpec &Spec,
-                                     unsigned NumProcesses,
-                                     const WireCall &WC);
+Bytes encodeCall(const CoordinationSpec &Spec, unsigned NumProcesses,
+                 const WireCall &WC);
 
 /// Decodes a call serialized by encodeCall. Returns false on a malformed
 /// buffer.
@@ -120,8 +103,10 @@ bool isCallBatch(const std::uint8_t *Data, std::size_t Len);
 ///   u16 CallBatchMarker | u16 count | count x (u32 len | bytes)
 /// A batch is the unit shipped per ring doorbell / backup-slot stage on
 /// the batched broadcast hot path.
-std::vector<std::uint8_t>
-encodeCallBatch(const std::vector<std::vector<std::uint8_t>> &EncodedCalls);
+Bytes encodeCallBatch(const Bytes *EncodedCalls, std::size_t Count);
+inline Bytes encodeCallBatch(const std::vector<Bytes> &EncodedCalls) {
+  return encodeCallBatch(EncodedCalls.data(), EncodedCalls.size());
+}
 
 /// Decodes a batch record into its calls, in issue order. False on a
 /// malformed buffer or when any inner call fails decodeCall.
@@ -137,12 +122,12 @@ bool decodeCallBatch(const CoordinationSpec &Spec, unsigned NumProcesses,
 ///         u32 freeLen | encodeCallBatch bytes (freeLen == 0: none)
 struct FlushImage {
   /// (summarization group, encodeSummary output) per dirty group.
-  std::vector<std::pair<std::uint8_t, std::vector<std::uint8_t>>> Summaries;
+  std::vector<std::pair<std::uint8_t, Bytes>> Summaries;
   /// encodeCallBatch output, or empty when the flush carried no free calls.
-  std::vector<std::uint8_t> FreeRecord;
+  Bytes FreeRecord;
 };
 
-std::vector<std::uint8_t> encodeFlushImage(const FlushImage &Img);
+Bytes encodeFlushImage(const FlushImage &Img);
 bool decodeFlushImage(const std::uint8_t *Data, std::size_t Len,
                       FlushImage &Out);
 
@@ -171,7 +156,7 @@ struct SummaryDeltaFrame {
   std::uint32_t Epoch = 0;
   /// encodeSummary output: the delta call (or full-image chunk call) plus
   /// the source's per-method applied counts; Image.Seq == ToSeq.
-  std::vector<std::uint8_t> Image;
+  Bytes Image;
 };
 
 /// True when \p Data starts with the summary-delta marker.
@@ -185,7 +170,7 @@ inline constexpr std::size_t SummaryDeltaHeaderBytes =
 /// Layout: u16 marker | u8 group | u8 full | u16 chunkIdx | u16 chunkCnt |
 ///         u64 fromSeq | u64 toSeq | u32 epoch | u32 len |
 ///         encodeSummary bytes
-std::vector<std::uint8_t> encodeSummaryDelta(const SummaryDeltaFrame &F);
+Bytes encodeSummaryDelta(const SummaryDeltaFrame &F);
 bool decodeSummaryDelta(const std::uint8_t *Data, std::size_t Len,
                         SummaryDeltaFrame &Out);
 
@@ -210,7 +195,7 @@ struct MailMsg {
 };
 
 /// Serializes a mailbox message.
-std::vector<std::uint8_t> encodeMail(const MailMsg &Msg);
+Bytes encodeMail(const MailMsg &Msg);
 
 /// Decodes a mailbox message; false on malformed bytes.
 bool decodeMail(const std::uint8_t *Data, std::size_t Len, MailMsg &Out);
@@ -225,7 +210,7 @@ struct SummaryImage {
   std::vector<std::pair<MethodId, std::uint64_t>> AppliedCounts;
 };
 
-std::vector<std::uint8_t> encodeSummary(const SummaryImage &Img);
+Bytes encodeSummary(const SummaryImage &Img);
 bool decodeSummary(const std::uint8_t *Data, std::size_t Len,
                    SummaryImage &Out);
 

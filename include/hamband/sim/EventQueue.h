@@ -18,10 +18,10 @@
 
 #include "hamband/sim/EventLabel.h"
 #include "hamband/sim/SimTime.h"
+#include "hamband/support/UniqueFunction.h"
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -35,12 +35,19 @@ using EventId = std::uint64_t;
 /// An invalid event handle; cancel() on it is a no-op.
 inline constexpr EventId InvalidEventId = 0;
 
+/// An event's closure.
+using EventFn = UniqueFunction<void()>;
+
 /// A fired event popped from the queue.
 struct Event {
   SimTime At = 0;
   EventId Id = InvalidEventId;
   EventLabel Label;
-  std::function<void()> Fn;
+  EventFn Fn;
+  /// When set, the event still fires (it advances the clock and counts as
+  /// executed) but Fn runs only if *Guard is true at that moment: how a
+  /// crashed node's pending CPU work is dropped without wrapping it.
+  const bool *Guard = nullptr;
 };
 
 /// One member of the enabled set (earliest time bucket), in canonical
@@ -61,12 +68,14 @@ class EventQueue {
 public:
   /// Enqueues \p Fn to fire at absolute time \p At. Returns a handle that
   /// can later be passed to cancel().
-  EventId push(SimTime At, std::function<void()> Fn) {
+  EventId push(SimTime At, EventFn Fn) {
     return push(At, EventLabel(), std::move(Fn));
   }
 
-  /// Enqueues a labeled event (see EventLabel for independence semantics).
-  EventId push(SimTime At, EventLabel Label, std::function<void()> Fn);
+  /// Enqueues a labeled event (see EventLabel for independence semantics),
+  /// optionally guarded (see Event::Guard).
+  EventId push(SimTime At, EventLabel Label, EventFn Fn,
+               const bool *Guard = nullptr);
 
   /// Cancels a previously pushed event. Cancelling an already-fired or
   /// invalid handle is a harmless no-op.
@@ -103,8 +112,9 @@ public:
 
 private:
   struct Payload {
-    std::function<void()> Fn;
+    EventFn Fn;
     EventLabel Label;
+    const bool *Guard = nullptr;
   };
 
   /// Drops stale (cancelled) ids from the front bucket, erasing emptied

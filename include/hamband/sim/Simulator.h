@@ -52,24 +52,25 @@ public:
   SimTime now() const { return Now; }
 
   /// Schedules \p Fn to run \p Delay after the current time.
-  EventId schedule(SimDuration Delay, std::function<void()> Fn) {
+  EventId schedule(SimDuration Delay, EventFn Fn) {
     return Queue.push(Now + Delay, std::move(Fn));
   }
 
   /// Schedules a labeled event \p Delay after the current time.
-  EventId schedule(SimDuration Delay, EventLabel Label,
-                   std::function<void()> Fn) {
+  EventId schedule(SimDuration Delay, EventLabel Label, EventFn Fn) {
     return Queue.push(Now + Delay, Label, std::move(Fn));
   }
 
   /// Schedules \p Fn at the absolute virtual time \p At (clamped to now).
-  EventId scheduleAt(SimTime At, std::function<void()> Fn) {
+  EventId scheduleAt(SimTime At, EventFn Fn) {
     return Queue.push(At < Now ? Now : At, std::move(Fn));
   }
 
-  /// Schedules a labeled event at the absolute time \p At (clamped to now).
-  EventId scheduleAt(SimTime At, EventLabel Label, std::function<void()> Fn) {
-    return Queue.push(At < Now ? Now : At, Label, std::move(Fn));
+  /// Schedules a labeled event at the absolute time \p At (clamped to
+  /// now), optionally guarded (see Event::Guard).
+  EventId scheduleAt(SimTime At, EventLabel Label, EventFn Fn,
+                     const bool *Guard = nullptr) {
+    return Queue.push(At < Now ? Now : At, Label, std::move(Fn), Guard);
   }
 
   /// Cancels a pending event; no-op if it already fired.

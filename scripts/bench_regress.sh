@@ -2,8 +2,10 @@
 # Benchmark-regression harness: runs the fig8/fig9 headline points (plus
 # the batched fig8 twin), the fig_shard keyspace-scaling sweep, the
 # fig_bigstate delta-bytes sweep and the fig_reconfig online-membership
-# sweep through hamband_bench_report and emits BENCH_pr10.json, then
-# validates it. Five gates run on every invocation:
+# sweep through hamband_bench_report, writes the report (by default to
+# <build-dir>/BENCH_regress.json; a committed BENCH_prN.json baseline is
+# written only when --out names it) and validates it. Five gates run on
+# every invocation:
 #
 #  - batching on/off: fig8_batched throughput must beat fig8 by at least
 #    --min-batch-speedup (default 1.25x);
@@ -59,7 +61,7 @@ set -euo pipefail
 
 REPO="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="$REPO/build"
-OUT="$REPO/BENCH_pr10.json"
+OUT=""
 BASELINE="$REPO/BENCH_pr4.json"
 OPS=6000
 REPS=1
@@ -91,6 +93,9 @@ while [ $# -gt 0 ]; do
   esac
   shift
 done
+
+# The report lands in the build tree unless --out asks for another file.
+OUT="${OUT:-$BUILD/BENCH_regress.json}"
 
 REPORT_ARGS=(--ops "$OPS" --reps "$REPS" --figures "$FIGURES")
 [ "$SMOKE" = 1 ] && REPORT_ARGS+=(--smoke)

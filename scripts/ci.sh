@@ -179,13 +179,17 @@ fi
 #    fig8_shm run loop, whose completion callbacks submit the next call
 #    inline on the origin's worker while the main thread pauses the
 #    world every 2 ms to inspect it.
+#  - the hot-path types (UniqueFunction, Bytes) and their verb-level
+#    ownership contracts: a task dropped on a crashed node, a retry that
+#    re-arms itself, one buffer posted to three peers by a node thread.
 if [ "${SKIP_TSAN:-0}" != "1" ]; then
   echo "ci: TSan threaded smoke (obs + shm transport + sharding + deltas" \
-       "+ reconfig + shm runner)"
+       "+ reconfig + shm runner + hot-path types)"
   cmake -B "$BUILD-tsan" -S "$REPO" -DHAMBAND_SANITIZE=thread
   cmake --build "$BUILD-tsan" -j"$(nproc)" \
     --target obs_tests shm_ring_stress_tests transport_conformance_tests \
-             sharding_tests delta_tests reconfig_tests benchlib_tests
+             sharding_tests delta_tests reconfig_tests benchlib_tests \
+             support_tests
   "$BUILD-tsan/tests/obs_tests" \
     --gtest_filter='ObsRegistry.ConcurrentMutationIsExact'
   "$BUILD-tsan/tests/shm_ring_stress_tests"
@@ -197,6 +201,7 @@ if [ "${SKIP_TSAN:-0}" != "1" ]; then
   "$BUILD-tsan/tests/reconfig_tests"
   "$BUILD-tsan/tests/benchlib_tests" \
     --gtest_filter='Runner.ShmCounterRunCompletesAndConverges'
+  "$BUILD-tsan/tests/support_tests"
 fi
 
 # Lint: no-op (with a notice) when clang-tidy is not installed.

@@ -44,8 +44,7 @@ MsgCrdtRuntime::~MsgCrdtRuntime() = default;
 
 void MsgCrdtRuntime::start() {
   for (rdma::NodeId N = 0; N < numNodes(); ++N)
-    Fab->setRecvHandler(N, [this, N](rdma::NodeId Src,
-                                     const std::vector<std::uint8_t> &Msg) {
+    Fab->setRecvHandler(N, [this, N](rdma::NodeId Src, const Bytes &Msg) {
       onMessage(N, Src, Msg);
     });
 }
@@ -67,7 +66,7 @@ bool MsgCrdtRuntime::depsSatisfied(const Replica &R,
   return true;
 }
 
-void MsgCrdtRuntime::submit(rdma::NodeId Origin, const Call &C,
+void MsgCrdtRuntime::submit(rdma::NodeId Origin, Call C,
                             runtime::SubmitCallback Done) {
   assert(Origin < numNodes());
   Replica &R = *Replicas[Origin];
@@ -76,7 +75,7 @@ void MsgCrdtRuntime::submit(rdma::NodeId Origin, const Call &C,
   if (Spec.category(C.Method) == MethodCategory::Query) {
     Fab->runOnCpu(
         Origin, M.QueryCpu,
-        [this, Origin, C, Done = std::move(Done)]() {
+        [this, Origin, C = std::move(C), Done = std::move(Done)]() {
           Value V = Type.query(*Replicas[Origin]->Stored, C);
           Done(true, V);
         },
@@ -87,7 +86,8 @@ void MsgCrdtRuntime::submit(rdma::NodeId Origin, const Call &C,
   ++Outstanding;
   Fab->runOnCpu(
       Origin, 2 * M.ApplyCpu,
-      [this, Origin, C, Done = std::move(Done), &R]() mutable {
+      [this, Origin, C = std::move(C), Done = std::move(Done),
+       &R]() mutable {
         Call P = Type.prepare(*R.Stored, C);
         if (!Type.permissible(*R.Stored, P)) {
           --Outstanding;
@@ -120,12 +120,13 @@ void MsgCrdtRuntime::submit(rdma::NodeId Origin, const Call &C,
                              Done(Ok, V);
                            }));
 
-        std::vector<std::uint8_t> Body =
-            encodeCall(Spec, numNodes(), WC);
-        std::vector<std::uint8_t> Msg(1 + 8 + Body.size());
-        Msg[0] = MsgOp;
-        std::memcpy(Msg.data() + 1, &WC.BcastSeq, 8);
-        std::memcpy(Msg.data() + 9, Body.data(), Body.size());
+        Bytes Body = encodeCall(Spec, numNodes(), WC);
+        ByteWriter W;
+        W.reserve(1 + 8 + Body.size());
+        W.u8(MsgOp);
+        W.u64(WC.BcastSeq);
+        W.bytes(Body);
+        Bytes Msg = W.take();
         for (rdma::NodeId Peer = 0; Peer < numNodes(); ++Peer)
           if (Peer != Origin)
             Fab->send(Origin, Peer, Msg, nullptr,
@@ -135,7 +136,7 @@ void MsgCrdtRuntime::submit(rdma::NodeId Origin, const Call &C,
 }
 
 void MsgCrdtRuntime::onMessage(rdma::NodeId Dst, rdma::NodeId Src,
-                               const std::vector<std::uint8_t> &Msg) {
+                               const Bytes &Msg) {
   if (Msg.empty())
     return;
   Replica &R = *Replicas[Dst];
@@ -162,10 +163,11 @@ void MsgCrdtRuntime::onMessage(rdma::NodeId Dst, rdma::NodeId Src,
   R.Pending[Src].push_back(std::move(WC));
   applyPending(Dst);
 
-  std::vector<std::uint8_t> Ack(9);
-  Ack[0] = MsgAck;
-  std::memcpy(Ack.data() + 1, &Seq, 8);
-  Fab->send(Dst, Src, std::move(Ack), nullptr, rdma::Fabric::LanePoller);
+  ByteWriter Ack;
+  Ack.reserve(9);
+  Ack.u8(MsgAck);
+  Ack.u64(Seq);
+  Fab->send(Dst, Src, Ack.take(), nullptr, rdma::Fabric::LanePoller);
 }
 
 void MsgCrdtRuntime::applyPending(rdma::NodeId Node) {

@@ -19,6 +19,26 @@ void Stat::add(double X) {
   ++N;
 }
 
+RunResult hamband::benchlib::medianRun(std::vector<RunResult> Runs) {
+  if (Runs.empty())
+    return RunResult();
+  std::sort(Runs.begin(), Runs.end(),
+            [](const RunResult &A, const RunResult &B) {
+              return A.ThroughputOpsPerUs < B.ThroughputOpsPerUs;
+            });
+  bool AllCompleted = true;
+  for (const RunResult &R : Runs)
+    AllCompleted = AllCompleted && R.Completed;
+  double Min = Runs.front().ThroughputOpsPerUs;
+  double Max = Runs.back().ThroughputOpsPerUs;
+  RunResult Median = std::move(Runs[(Runs.size() - 1) / 2]);
+  Median.Episodes = static_cast<unsigned>(Runs.size());
+  Median.MinThroughputOpsPerUs = Min;
+  Median.MaxThroughputOpsPerUs = Max;
+  Median.Completed = AllCompleted;
+  return Median;
+}
+
 RunResult hamband::benchlib::averageRuns(const std::vector<RunResult> &Runs) {
   RunResult Avg;
   if (Runs.empty())

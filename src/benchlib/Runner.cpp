@@ -215,14 +215,11 @@ RunResult benchlib::runOnce(const ObjectType &Type,
     return N;
   };
 
-  // The per-node closed-loop client.
-  // The closure holds only a weak reference to itself (the local strong
-  // reference below outlives the whole run), so no ownership cycle forms.
-  // The stack state captured by reference stays valid because the shm
-  // transport is shut down -- all node threads joined, queued closures
-  // discarded -- before runOnce returns.
-  auto IssueNext = std::make_shared<std::function<void(unsigned)>>();
-  std::weak_ptr<std::function<void(unsigned)>> WeakIssue = IssueNext;
+  // The per-node closed-loop client. Closures reach it (and the other
+  // stack state) by reference: it stays valid because the shm transport
+  // is shut down -- all node threads joined, queued closures discarded --
+  // and the simulator destroyed unrun before runOnce returns.
+  std::function<void(unsigned)> IssueNext;
 
   // Submits one prepared call and handles its completion. A closed-epoch
   // rejection (WrongEpochValue, docs/reconfig.md) is not a terminal
@@ -236,26 +233,21 @@ RunResult benchlib::runOnce(const ObjectType &Type,
   using SubmitFn = std::function<void(unsigned Node, Call C, unsigned Target,
                                       sim::SimTime IssuedAt, bool IsUpdate,
                                       std::string MethodName, bool Detached)>;
-  auto DoSubmit = std::make_shared<SubmitFn>();
-  std::weak_ptr<SubmitFn> WeakSubmit = DoSubmit;
-  *DoSubmit = [&, State, WeakIssue, WeakSubmit,
-               DoReconfig](unsigned Node, Call C, unsigned Target,
-                           sim::SimTime IssuedAt, bool IsUpdate,
-                           std::string MethodName, bool Detached) {
+  SubmitFn DoSubmit;
+  DoSubmit = [&, State, DoReconfig](unsigned Node, Call C, unsigned Target,
+                                    sim::SimTime IssuedAt, bool IsUpdate,
+                                    std::string MethodName, bool Detached) {
     RT->submit(Target, C,
-               [&, State, WeakIssue, WeakSubmit, DoReconfig, Node, C,
-                IssuedAt, IsUpdate, MethodName, Detached](bool Ok, Value V) {
+               [&, State, DoReconfig, Node, C, IssuedAt, IsUpdate, MethodName,
+                Detached](bool Ok, Value V) {
                  if (DoReconfig && !Ok && V == runtime::WrongEpochValue) {
                    {
                      std::lock_guard<std::mutex> G(State->Mu);
                      ++State->WrongEpochRetries;
                    }
                    T.runAfter(Node, sim::micros(2),
-                              [&, State, WeakSubmit, Node, C, IssuedAt,
-                               IsUpdate, MethodName]() {
-                                auto Resub = WeakSubmit.lock();
-                                if (!Resub)
-                                  return;
+                              [&, State, Node, C, IssuedAt, IsUpdate,
+                               MethodName]() {
                                 Call C2 = C;
                                 unsigned Tgt;
                                 {
@@ -271,7 +263,7 @@ RunResult benchlib::runOnce(const ObjectType &Type,
                                   }
                                   C2.Issuer = Tgt;
                                 }
-                                (*Resub)(Node, C2, Tgt, IssuedAt, IsUpdate,
+                                DoSubmit(Node, C2, Tgt, IssuedAt, IsUpdate,
                                          MethodName, /*Detached=*/true);
                               });
                    // First rejection of this call: park it and keep the
@@ -284,10 +276,7 @@ RunResult benchlib::runOnce(const ObjectType &Type,
                    // closed-loop pace while the fence is up.
                    if (!Detached)
                      T.runAfter(Node, sim::micros(1),
-                                [State, WeakIssue, Node]() {
-                                  if (auto Next = WeakIssue.lock())
-                                    (*Next)(Node);
-                                });
+                                [&IssueNext, Node]() { IssueNext(Node); });
                    return;
                  }
                  double RespUs = sim::toMicros(T.now() - IssuedAt);
@@ -318,18 +307,14 @@ RunResult benchlib::runOnce(const ObjectType &Type,
                  // whole remaining issue budget in zero simulated time.
                  if (DoReconfig && !Ok) {
                    T.runAfter(Node, sim::nanos(300),
-                              [State, WeakIssue, Node]() {
-                                if (auto Next = WeakIssue.lock())
-                                  (*Next)(Node);
-                              });
+                              [&IssueNext, Node]() { IssueNext(Node); });
                    return;
                  }
-                 if (auto Next = WeakIssue.lock())
-                   (*Next)(Node);
+                 IssueNext(Node);
                });
   };
 
-  *IssueNext = [&, State, WeakIssue, DoSubmit, OnShm](unsigned Node) {
+  IssueNext = [&, State, OnShm](unsigned Node) {
     Call C;
     unsigned Target;
     bool IsUpdate;
@@ -395,7 +380,7 @@ RunResult benchlib::runOnce(const ObjectType &Type,
       const unsigned Joiner = Opts.NumNodes - 1;
       const bool IsAdd = Opts.ReconfigAction == "add";
       Cluster->reconfigure(
-          Tgt, [&, State, WeakIssue, IsAdd, Joiner](bool Ok, std::uint32_t) {
+          Tgt, [&, State, IsAdd, Joiner](bool Ok, std::uint32_t) {
             {
               std::lock_guard<std::mutex> G(State->Mu);
               State->Phase = 2;
@@ -407,14 +392,11 @@ RunResult benchlib::runOnce(const ObjectType &Type,
             if (Ok && IsAdd)
               for (unsigned D = 0; D < W.PipelineDepth; ++D)
                 T.runAfter(Joiner, sim::nanos(10) * (D + 1),
-                           [WeakIssue, Joiner]() {
-                             if (auto Next = WeakIssue.lock())
-                               (*Next)(Joiner);
-                           });
+                           [&IssueNext, Joiner]() { IssueNext(Joiner); });
           });
     }
-    (*DoSubmit)(Node, C, Target, T.now(), IsUpdate, MethodName,
-                /*Detached=*/false);
+    DoSubmit(Node, C, Target, T.now(), IsUpdate, MethodName,
+             /*Detached=*/false);
   };
 
   // Prime the pipelines with a slight stagger. On the sim fabric this is
@@ -426,7 +408,7 @@ RunResult benchlib::runOnce(const ObjectType &Type,
       continue;
     for (unsigned D = 0; D < W.PipelineDepth; ++D)
       T.runAfter(N, sim::nanos(10) * (N * W.PipelineDepth + D + 1),
-                 [IssueNext, N]() { (*IssueNext)(N); });
+                 [&IssueNext, N]() { IssueNext(N); });
   }
 
   // Run in slices until every call completed and replication finished,

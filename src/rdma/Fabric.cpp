@@ -73,8 +73,8 @@ sim::SimTime Fabric::channelDeliveryTime(NodeId Src, NodeId Dst,
   return At;
 }
 
-void Fabric::runOnCpu(NodeId Node, sim::SimDuration Cost,
-                      std::function<void()> Fn, unsigned Lane) {
+void Fabric::runOnCpu(NodeId Node, sim::SimDuration Cost, TaskFn Fn,
+                      unsigned Lane) {
   assert(Lane < NumCpuLanes && "bad cpu lane");
   NodeCtx &Ctx = node(Node);
   if (!Ctx.Alive)
@@ -82,15 +82,14 @@ void Fabric::runOnCpu(NodeId Node, sim::SimDuration Cost,
   sim::SimTime Start = std::max(Sim.now(), Ctx.CpuFreeAt[Lane]);
   Ctx.CpuFreeAt[Lane] = Start + Cost;
   sim::SimTime Done = Ctx.CpuFreeAt[Lane];
-  Sim.scheduleAt(Done, {sim::EventKind::CpuTask, Node},
-                 [this, Node, Fn = std::move(Fn)]() {
-                   if (Nodes[Node]->Alive)
-                     Fn();
-                 });
+  // A node that crashes before the task runs drops it: the event still
+  // fires, but its guard skips the closure.
+  Sim.scheduleAt(Done, {sim::EventKind::CpuTask, Node}, std::move(Fn),
+                 &Ctx.Alive);
 }
 
 void Fabric::postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
-                       std::vector<std::uint8_t> Data, RegionKey Key,
+                       const Bytes &Data, RegionKey Key,
                        CompletionFn OnComplete, unsigned Lane) {
   assert(Dst < Nodes.size() && "destination out of range");
   ++WritesPosted;
@@ -99,39 +98,42 @@ void Fabric::postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
     CtrWrite->add();
     CtrBytes->add(Data.size());
   }
-  auto Payload = std::make_shared<std::vector<std::uint8_t>>(std::move(Data));
   runOnCpu(
       Src, Model.PostCpu,
-      [this, Src, Dst, DstOff, Payload, Key, Lane,
-       OnComplete = std::move(OnComplete)]() {
-        sim::SimDuration Wire = Model.writeWire(Payload->size());
+      [this, Src, Dst, DstOff, Payload = Data, Key, Lane,
+       OnComplete = std::move(OnComplete)]() mutable {
+        sim::SimDuration Wire = Model.writeWire(Payload.size());
         if (Hook)
           Wire += Hook->onOneSidedOp(Src, Dst, /*IsWrite=*/true,
-                                     Payload->size())
+                                     Payload.size())
                       .ExtraDelay;
         if (HistWireNs)
           HistWireNs->record(Wire);
         sim::SimTime DeliverAt = channelDeliveryTime(Src, Dst, Wire);
         Sim.scheduleAt(DeliverAt,
                        {sim::EventKind::OneSidedDelivery, Dst, Src},
-                       [this, Src, Dst, DstOff, Payload, Key, Lane,
-                        OnComplete]() {
+                       [this, Src, Dst, DstOff, Payload = std::move(Payload),
+                        Key, Lane,
+                        OnComplete = std::move(OnComplete)]() mutable {
           // Permission is checked by the responder NIC at access time. A
           // crashed node's NIC still serves one-sided traffic.
           WcStatus Status = WcStatus::Success;
           if (!hasWritePermission(Dst, Src, Key))
             Status = WcStatus::AccessError;
           else
-            Nodes[Dst]->Mem.write(DstOff, Payload->data(), Payload->size());
+            Nodes[Dst]->Mem.write(DstOff, Payload.data(), Payload.size());
           if (!OnComplete)
             return;
           Sim.schedule(Model.CompletionDelay,
                        {sim::EventKind::Completion, Src, Dst},
-                       [this, Src, Status, OnComplete, Lane]() {
-                         runOnCpu(
-                             Src, Model.PollCpu,
-                             [Status, OnComplete]() { OnComplete(Status); },
-                             Lane);
+                       [this, Src, Status, Lane,
+                        OnComplete = std::move(OnComplete)]() mutable {
+                         runOnCpu(Src, Model.PollCpu,
+                                  [Status, OnComplete = std::move(
+                                               OnComplete)]() {
+                                    OnComplete(Status);
+                                  },
+                                  Lane);
                        });
         });
       },
@@ -149,7 +151,7 @@ void Fabric::postRead(NodeId Src, NodeId Dst, MemOffset DstOff,
   runOnCpu(
       Src, Model.PostCpu,
       [this, Src, Dst, DstOff, Len, Lane,
-       OnComplete = std::move(OnComplete)]() {
+       OnComplete = std::move(OnComplete)]() mutable {
         sim::SimDuration Wire = Model.readWire(Len);
         if (Hook)
           Wire += Hook->onOneSidedOp(Src, Dst, /*IsWrite=*/false, Len)
@@ -158,40 +160,41 @@ void Fabric::postRead(NodeId Src, NodeId Dst, MemOffset DstOff,
           HistWireNs->record(Wire);
         sim::SimTime SampleAt = channelDeliveryTime(Src, Dst, Wire);
         Sim.scheduleAt(SampleAt, {sim::EventKind::ReadSample, Dst, Src},
-                       [this, Src, Dst, DstOff, Len, Lane, OnComplete]() {
-          auto Data = std::make_shared<std::vector<std::uint8_t>>(
-              Nodes[Dst]->Mem.slice(DstOff, Len));
+                       [this, Src, Dst, DstOff, Len, Lane,
+                        OnComplete = std::move(OnComplete)]() mutable {
+          std::vector<std::uint8_t> Data = Nodes[Dst]->Mem.slice(DstOff, Len);
           Sim.schedule(Model.CompletionDelay,
                        {sim::EventKind::Completion, Src, Dst},
-                       [this, Src, Data, OnComplete, Lane]() {
-                         runOnCpu(
-                             Src, Model.PollCpu,
-                             [Data, OnComplete]() {
-                               OnComplete(WcStatus::Success,
-                                          std::move(*Data));
-                             },
-                             Lane);
+                       [this, Src, Lane, Data = std::move(Data),
+                        OnComplete = std::move(OnComplete)]() mutable {
+                         runOnCpu(Src, Model.PollCpu,
+                                  [Data = std::move(Data),
+                                   OnComplete = std::move(
+                                       OnComplete)]() mutable {
+                                    OnComplete(WcStatus::Success,
+                                               std::move(Data));
+                                  },
+                                  Lane);
                        });
         });
       },
       Lane);
 }
 
-void Fabric::send(NodeId Src, NodeId Dst, std::vector<std::uint8_t> Msg,
+void Fabric::send(NodeId Src, NodeId Dst, const Bytes &Msg,
                   CompletionFn OnComplete, unsigned Lane) {
   assert(Dst < Nodes.size() && "destination out of range");
   ++SendsPosted;
   if (CtrSend)
     CtrSend->add();
-  auto Payload = std::make_shared<std::vector<std::uint8_t>>(std::move(Msg));
   runOnCpu(
       Src, Model.MsgStackSendCpu,
-      [this, Src, Dst, Payload, Lane,
-       OnComplete = std::move(OnComplete)]() {
-        sim::SimDuration Wire = Model.msgWire(Payload->size());
+      [this, Src, Dst, Payload = Msg, Lane,
+       OnComplete = std::move(OnComplete)]() mutable {
+        sim::SimDuration Wire = Model.msgWire(Payload.size());
         FaultDecision Fault;
         if (Hook)
-          Fault = Hook->onTwoSidedMsg(Src, Dst, Payload->size());
+          Fault = Hook->onTwoSidedMsg(Src, Dst, Payload.size());
         // A dropped or duplicated message completes normally at the
         // sender either way (TCP-like: the sender cannot tell).
         unsigned Copies = Fault.Drop ? 0 : 1 + Fault.Duplicates;
@@ -206,14 +209,17 @@ void Fabric::send(NodeId Src, NodeId Dst, std::vector<std::uint8_t> Msg,
               return; // Dropped at a dead receiver.
             runOnCpu(
                 Dst, Model.MsgStackRecvCpu,
-                [&Ctx, Src, Payload]() { Ctx.OnRecv(Src, *Payload); },
+                [&Ctx, Src, Payload]() { Ctx.OnRecv(Src, Payload); },
                 LanePoller);
           });
         }
         if (OnComplete)
           runOnCpu(
               Src, Model.PollCpu,
-              [OnComplete]() { OnComplete(WcStatus::Success); }, Lane);
+              [OnComplete = std::move(OnComplete)]() {
+                OnComplete(WcStatus::Success);
+              },
+              Lane);
       },
       Lane);
 }

@@ -6,6 +6,7 @@
 
 #include "hamband/rdma/MemoryRegion.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstdlib>
 
@@ -102,13 +103,23 @@ void MemoryRegion::readStable(MemOffset Off, void *Dst,
   // last concurrent store two passes must agree. The bound below only
   // limits wasted work against a pathological stream of back-to-back
   // overwrites; validation of the returned snapshot is the caller's job.
-  std::vector<std::uint8_t> Prev(Len);
-  atomicCopyOut(Prev.data(), Bytes.data() + Off, Len);
+  // Each pass is compared against the previous one (held in Dst) a
+  // chunk at a time, so the snapshot needs no buffer of its own.
+  std::uint8_t *Out = static_cast<std::uint8_t *>(Dst);
+  atomicCopyOut(Out, Bytes.data() + Off, Len);
   for (int Attempt = 0; Attempt < 64; ++Attempt) {
-    atomicCopyOut(Dst, Bytes.data() + Off, Len);
-    if (std::memcmp(Dst, Prev.data(), Len) == 0)
+    bool Same = true;
+    for (std::size_t Pos = 0; Pos < Len; Pos += 64) {
+      std::size_t N = std::min<std::size_t>(64, Len - Pos);
+      std::uint8_t Chunk[64];
+      atomicCopyOut(Chunk, Bytes.data() + Off + Pos, N);
+      if (std::memcmp(Chunk, Out + Pos, N) != 0) {
+        std::memcpy(Out + Pos, Chunk, N);
+        Same = false;
+      }
+    }
+    if (Same)
       return;
-    std::memcpy(Prev.data(), Dst, Len);
   }
 }
 

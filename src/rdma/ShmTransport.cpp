@@ -20,19 +20,63 @@ std::uint64_t permKey(NodeId Target, NodeId Writer, RegionKey Key) {
          (static_cast<std::uint64_t>(Writer) << 32) | Key;
 }
 
-/// Moves every timer due by \p Until from \p Heap to the back of \p Queue,
-/// in deadline order.
-template <typename HeapT, typename QueueT>
-void promoteDue(HeapT &Heap, std::uint64_t Until, QueueT &Queue) {
-  while (!Heap.empty() && Heap.begin()->first <= Until) {
-    Queue.push_back(std::move(Heap.begin()->second));
-    Heap.erase(Heap.begin());
-  }
-}
-
 } // namespace
 
 thread_local const ShmTransport::ShmNode *ShmTransport::CurrentNode = nullptr;
+
+void ShmTransport::TaskQueue::push(Task T) {
+  if (Count == Ring.size()) {
+    // Full: unroll into a ring twice the size.
+    std::vector<Task> Bigger(std::max<std::size_t>(16, 2 * Ring.size()));
+    for (std::size_t I = 0; I < Count; ++I)
+      Bigger[I] = std::move(Ring[(Head + I) % Ring.size()]);
+    Ring.swap(Bigger);
+    Head = 0;
+  }
+  Ring[(Head + Count) % Ring.size()] = std::move(T);
+  ++Count;
+}
+
+ShmTransport::Task ShmTransport::TaskQueue::pop() {
+  assert(Count > 0 && "pop from an empty task queue");
+  Task T = std::move(Ring[Head]);
+  Head = (Head + 1) % Ring.size();
+  --Count;
+  return T;
+}
+
+void ShmTransport::TaskQueue::clear() {
+  // Release whatever the queued closures captured; keep the storage.
+  for (Task &T : Ring)
+    T = Task();
+  Head = Count = 0;
+}
+
+namespace {
+/// Heap order: the earliest (deadline, seq) at the front.
+struct LaterTimer {
+  template <typename T> bool operator()(const T &A, const T &B) const {
+    return A.Deadline != B.Deadline ? A.Deadline > B.Deadline : A.Seq > B.Seq;
+  }
+};
+} // namespace
+
+void ShmTransport::TimerHeap::push(std::uint64_t Deadline, TaskFn Fn) {
+  Heap.push_back(Timer{Deadline, NextSeq++, std::move(Fn)});
+  std::push_heap(Heap.begin(), Heap.end(), LaterTimer());
+}
+
+void ShmTransport::TimerHeap::promoteDue(std::uint64_t Until,
+                                         TaskQueue &Queue) {
+  while (!Heap.empty() && Heap.front().Deadline <= Until) {
+    std::pop_heap(Heap.begin(), Heap.end(), LaterTimer());
+    Task T;
+    T.Fn = std::move(Heap.back().Fn);
+    T.NeedsAlive = false;
+    Heap.pop_back();
+    Queue.push(std::move(T));
+  }
+}
 
 ShmTransport::ShmTransport(unsigned NumNodes, NetworkModel Model,
                            std::size_t MemBytesPerNode)
@@ -77,19 +121,18 @@ void ShmTransport::workerLoop(ShmNode &N) {
     std::uint64_t NowNs = now();
     bool Rung = N.Bell.load(std::memory_order_relaxed) &&
                 N.Bell.exchange(false, std::memory_order_acquire);
-    promoteDue(N.Timers, NowNs, N.Queue);
-    promoteDue(N.WakeTimers, Rung ? UINT64_MAX : NowNs, N.Queue);
+    N.Timers.promoteDue(NowNs, N.Queue);
+    N.WakeTimers.promoteDue(Rung ? UINT64_MAX : NowNs, N.Queue);
     if (!N.Paused && !N.Queue.empty()) {
       // Running is set and cleared under Mu, so a pauser that finds it
       // clear also sees every effect of the task (the closure's captures
       // are released before it clears).
-      Task T = std::move(N.Queue.front());
-      N.Queue.pop_front();
+      Task T = N.Queue.pop();
       N.Running = true;
       L.unlock();
       if (!T.NeedsAlive || N.Alive.load(std::memory_order_acquire))
-        T.Fn();
-      T.Fn = nullptr;
+        T.run();
+      T = Task();
       L.lock();
       N.Running = false;
       if (N.PauserWaiting)
@@ -109,9 +152,9 @@ void ShmTransport::workerLoop(ShmNode &N) {
     }
     std::uint64_t Deadline = UINT64_MAX;
     if (!N.Timers.empty())
-      Deadline = N.Timers.begin()->first;
+      Deadline = N.Timers.nextDeadline();
     if (!N.WakeTimers.empty())
-      Deadline = std::min(Deadline, N.WakeTimers.begin()->first);
+      Deadline = std::min(Deadline, N.WakeTimers.nextDeadline());
     if (Deadline == UINT64_MAX)
       N.Cv.wait(L);
     else
@@ -120,14 +163,13 @@ void ShmTransport::workerLoop(ShmNode &N) {
   }
 }
 
-void ShmTransport::enqueue(NodeId Node, std::function<void()> Fn,
-                           bool NeedsAlive) {
+void ShmTransport::enqueue(NodeId Node, Task T) {
   assert(Node < Nodes.size());
   ShmNode &N = *Nodes[Node];
   bool Wake;
   {
     std::lock_guard<std::mutex> G(N.Mu);
-    N.Queue.push_back(Task{std::move(Fn), NeedsAlive});
+    N.Queue.push(std::move(T));
     // A worker that is not parked checks the queue before it parks.
     Wake = N.Parked.load(std::memory_order_relaxed);
   }
@@ -135,15 +177,13 @@ void ShmTransport::enqueue(NodeId Node, std::function<void()> Fn,
     N.Cv.notify_one();
 }
 
-void ShmTransport::addTimer(ShmNode &N,
-                            std::multimap<std::uint64_t, Task> &Heap,
-                            sim::SimDuration Delay,
-                            std::function<void()> Fn) {
+void ShmTransport::addTimer(ShmNode &N, TimerHeap &Heap,
+                            sim::SimDuration Delay, TaskFn Fn) {
   std::uint64_t Deadline = now() + Delay;
   bool Wake;
   {
     std::lock_guard<std::mutex> G(N.Mu);
-    Heap.emplace(Deadline, Task{std::move(Fn), /*NeedsAlive=*/false});
+    Heap.push(Deadline, std::move(Fn));
     // A parked worker must recompute its wait deadline.
     Wake = N.Parked.load(std::memory_order_relaxed);
   }
@@ -160,7 +200,7 @@ void ShmTransport::ringDoorbell(ShmNode &N) {
 }
 
 void ShmTransport::postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
-                             std::vector<std::uint8_t> Data, RegionKey Key,
+                             const Bytes &Data, RegionKey Key,
                              CompletionFn OnComplete, unsigned Lane) {
   (void)Lane;
   assert(Src < Nodes.size() && Dst < Nodes.size());
@@ -187,10 +227,12 @@ void ShmTransport::postWrite(NodeId Src, NodeId Dst, MemOffset DstOff,
     if (Src != Dst)
       ringDoorbell(*Nodes[Dst]);
   }
-  if (OnComplete)
-    enqueue(Src, [OnComplete = std::move(OnComplete), St]() {
-      OnComplete(St);
-    }, /*NeedsAlive=*/true);
+  if (OnComplete) {
+    Task T;
+    T.Done = std::move(OnComplete);
+    T.Status = St;
+    enqueue(Src, std::move(T));
+  }
 }
 
 void ShmTransport::postRead(NodeId Src, NodeId Dst, MemOffset DstOff,
@@ -207,16 +249,17 @@ void ShmTransport::postRead(NodeId Src, NodeId Dst, MemOffset DstOff,
   // until stable, then validate-by-structure at the caller (canaries,
   // sequence numbers) exactly as on real RDMA hardware.
   std::vector<std::uint8_t> Data = Nodes[Dst]->Mem.sliceStable(DstOff, Len);
-  if (OnComplete)
-    enqueue(Src,
-            [OnComplete = std::move(OnComplete), Data = std::move(Data)]() {
-              OnComplete(WcStatus::Success, std::move(Data));
-            },
-            /*NeedsAlive=*/true);
+  if (OnComplete) {
+    Task T;
+    T.Fn = [OnComplete = std::move(OnComplete),
+            Data = std::move(Data)]() mutable {
+      OnComplete(WcStatus::Success, std::move(Data));
+    };
+    enqueue(Src, std::move(T));
+  }
 }
 
-void ShmTransport::send(NodeId Src, NodeId Dst,
-                        std::vector<std::uint8_t> Msg,
+void ShmTransport::send(NodeId Src, NodeId Dst, const Bytes &Msg,
                         CompletionFn OnComplete, unsigned Lane) {
   (void)Lane;
   assert(Src < Nodes.size() && Dst < Nodes.size());
@@ -226,56 +269,59 @@ void ShmTransport::send(NodeId Src, NodeId Dst,
   if (CtrSend)
     CtrSend->add();
   ShmNode *D = Nodes[Dst].get();
-  enqueue(Dst,
-          [D, Src, Msg = std::move(Msg)]() {
-            RecvHandler H;
-            {
-              std::lock_guard<std::mutex> G(D->Mu);
-              H = D->OnRecv;
-            }
-            if (H)
-              H(Src, Msg);
-          },
-          /*NeedsAlive=*/true);
+  Task Delivery;
+  Delivery.Fn = [D, Src, Msg]() {
+    std::shared_ptr<RecvHandler> H;
+    {
+      std::lock_guard<std::mutex> G(D->Mu);
+      H = D->OnRecv;
+    }
+    if (H && *H)
+      (*H)(Src, Msg);
+  };
+  enqueue(Dst, std::move(Delivery));
   // TCP-like: the sender's completion succeeds whether or not the
   // receiver is alive to process the message.
-  if (OnComplete)
-    enqueue(Src, [OnComplete = std::move(OnComplete)]() {
-      OnComplete(WcStatus::Success);
-    }, /*NeedsAlive=*/true);
+  if (OnComplete) {
+    Task T;
+    T.Done = std::move(OnComplete);
+    enqueue(Src, std::move(T));
+  }
 }
 
 void ShmTransport::setRecvHandler(NodeId Node, RecvHandler Handler) {
   assert(Node < Nodes.size());
+  auto H = std::make_shared<RecvHandler>(std::move(Handler));
   std::lock_guard<std::mutex> G(Nodes[Node]->Mu);
-  Nodes[Node]->OnRecv = std::move(Handler);
+  Nodes[Node]->OnRecv = std::move(H);
 }
 
-void ShmTransport::runOnCpu(NodeId Node, sim::SimDuration Cost,
-                            std::function<void()> Fn, unsigned Lane) {
+void ShmTransport::runOnCpu(NodeId Node, sim::SimDuration Cost, TaskFn Fn,
+                            unsigned Lane) {
   (void)Cost;
   (void)Lane;
   assert(Node < Nodes.size());
   if (!Nodes[Node]->Alive.load(std::memory_order_acquire))
     return;
-  enqueue(Node, std::move(Fn), /*NeedsAlive=*/true);
+  Task T;
+  T.Fn = std::move(Fn);
+  enqueue(Node, std::move(T));
 }
 
-void ShmTransport::runAfter(NodeId Node, sim::SimDuration Delay,
-                            std::function<void()> Fn) {
+void ShmTransport::runAfter(NodeId Node, sim::SimDuration Delay, TaskFn Fn) {
   assert(Node < Nodes.size());
   ShmNode &N = *Nodes[Node];
   addTimer(N, N.Timers, Delay, std::move(Fn));
 }
 
 void ShmTransport::runAfterOrWrite(NodeId Node, sim::SimDuration Delay,
-                                   std::function<void()> Fn) {
+                                   TaskFn Fn) {
   assert(Node < Nodes.size());
   ShmNode &N = *Nodes[Node];
   addTimer(N, N.WakeTimers, Delay, std::move(Fn));
 }
 
-void ShmTransport::callOn(NodeId Node, std::function<void()> Fn) {
+void ShmTransport::callOn(NodeId Node, TaskFn Fn) {
   assert(Node < Nodes.size());
   ShmNode &N = *Nodes[Node];
   if (CurrentNode == &N) {
@@ -285,7 +331,9 @@ void ShmTransport::callOn(NodeId Node, std::function<void()> Fn) {
       Fn();
     return;
   }
-  enqueue(Node, std::move(Fn), /*NeedsAlive=*/true);
+  Task T;
+  T.Fn = std::move(Fn);
+  enqueue(Node, std::move(T));
 }
 
 RegionKey ShmTransport::createRegionKey() {

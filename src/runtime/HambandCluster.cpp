@@ -57,7 +57,7 @@ HambandCluster::HambandCluster(rdma::TransportKind Kind, unsigned NumNodes,
 void HambandCluster::build(unsigned NumNodes, rdma::NetworkModel Model) {
   (void)Model;
   Failed.assign(NumNodes, false);
-  PerOrigin = std::make_unique<OriginCounts[]>(NumNodes);
+  PerOrigin = std::make_unique<OutstandingCalls[]>(NumNodes);
   Trans->setObs(ClusterStats);
   // Reserve the mapped range so nothing else lands in it.
   for (rdma::NodeId N = 0; N < NumNodes; ++N)
@@ -109,27 +109,20 @@ void HambandCluster::start() {
     Trans->callOn(N, [this, N]() { Nodes[N]->start(); });
 }
 
-void HambandCluster::submit(rdma::NodeId Origin, const Call &C,
+void HambandCluster::submit(rdma::NodeId Origin, Call C,
                             SubmitCallback Done) {
   assert(Origin < Nodes.size());
   bool IsUpdate =
       Type.coordination().category(C.Method) != MethodCategory::Query;
-  OriginCounts &Counts = PerOrigin[Origin];
+  OutstandingCalls &Counts = PerOrigin[Origin];
   Counts.Calls.fetch_add(1, std::memory_order_acq_rel);
   if (IsUpdate)
     Counts.Updates.fetch_add(1, std::memory_order_acq_rel);
-  Trans->callOn(Origin, [this, Origin, C, IsUpdate,
-                         Done = std::move(Done)]() {
-    Nodes[Origin]->submit(
-        C, [this, Origin, IsUpdate, Done = std::move(Done)](bool Ok,
-                                                            Value V) {
-          OriginCounts &Counts = PerOrigin[Origin];
-          if (IsUpdate)
-            Counts.Updates.fetch_sub(1, std::memory_order_acq_rel);
-          Counts.Calls.fetch_sub(1, std::memory_order_acq_rel);
-          if (Done)
-            Done(Ok, V);
-        });
+  // The origin node decrements the counts when it completes the call.
+  auto P = std::make_unique<PendingCall>(std::move(C), std::move(Done),
+                                         &Counts, IsUpdate);
+  Trans->callOn(Origin, [this, Origin, P = std::move(P)]() mutable {
+    Nodes[Origin]->submit(std::move(P));
   });
 }
 

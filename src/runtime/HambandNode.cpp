@@ -17,51 +17,52 @@ using hamband::semantics::DepMap;
 
 namespace {
 
+/// One flush's in-flight writes and the calls they complete, shared by
+/// the completions of every write the flush posts.
+struct FlushTally {
+  unsigned Remaining = 0;
+  std::vector<PendingCallPtr> Calls;
+};
+
 /// Cap of buffered out-of-order delta frames per (group, source); frames
 /// beyond it are dropped (counted) and heal via anti-entropy.
 constexpr std::size_t BufferedFrameCap = 64;
 
 /// Appends a (possibly spanning) record to a ring, retrying every
-/// \p RetryAfter while it is full, or sooner once the reader's head
-/// feedback write lands.
-void appendWithRetry(rdma::Transport &T, RingWriter &W,
-                     std::vector<std::uint8_t> Bytes,
-                     sim::SimDuration RetryAfter,
-                     rdma::CompletionFn OnComplete) {
-  if (W.appendRecord(Bytes, OnComplete))
-    return;
-  // The pending retry event owns the closure; the closure holds only a
-  // weak_ptr to itself so the chain never forms a reference cycle. Retries
-  // run on the writer node's timer so the ring stays single-threaded.
-  auto Retry = std::make_shared<std::function<void()>>();
-  std::weak_ptr<std::function<void()>> Weak = Retry;
-  *Retry = [&T, &W, Bytes = std::move(Bytes), RetryAfter, OnComplete,
-            Weak]() {
-    if (!W.appendRecord(Bytes, OnComplete))
-      if (auto R = Weak.lock())
-        T.runAfterOrWrite(W.writer(), RetryAfter, [R]() { (*R)(); });
-  };
-  T.runAfterOrWrite(W.writer(), RetryAfter, [Retry]() { (*Retry)(); });
-}
+/// RetryAfter while it is full, or sooner once the reader's head feedback
+/// write lands. A retry re-arms itself by moving into the next timer, so
+/// the record has one owner at any time. Retries run on the writer node's
+/// timer so the ring stays single-threaded.
+struct AppendRetry {
+  rdma::Transport *T;
+  RingWriter *W;
+  Bytes Record;
+  sim::SimDuration RetryAfter;
+
+  void operator()() {
+    if (!W->appendRecord(Record))
+      T->runAfterOrWrite(W->writer(), RetryAfter, std::move(*this));
+  }
+};
 
 /// Pads a summary image into a full slot write: u32 len | payload | ...
-/// zeros ... | canary.
-std::vector<std::uint8_t> slotBytes(const std::vector<std::uint8_t> &Payload,
-                                    std::uint32_t SlotSize) {
+/// zeros ... | seq trailer | canary.
+Bytes slotBytes(const Bytes &Payload, std::uint32_t SlotSize) {
   assert(Payload.size() >= 8 && "summary payload leads with its seq");
   assert(Payload.size() + 13 <= SlotSize &&
          "summary exceeds slot; raise SummarySlotBytes or shrink keyspace");
-  std::vector<std::uint8_t> Out(SlotSize, 0);
-  std::uint32_t Len = static_cast<std::uint32_t>(Payload.size());
-  std::memcpy(Out.data(), &Len, 4);
-  std::memcpy(Out.data() + 4, Payload.data(), Payload.size());
+  ByteWriter W;
+  W.reserve(SlotSize);
+  W.u32(static_cast<std::uint32_t>(Payload.size()));
+  W.bytes(Payload);
+  W.zeros(SlotSize - 13 - Payload.size());
   // Seqlock-style trailer: restate the image's sequence number (the
   // payload's leading u64) just before the canary. Slot writes land in
   // increasing address order, so a reader that snapshots a torn overwrite
   // sees a NEW header with an OLD trailer and rejects the blend.
-  std::memcpy(Out.data() + SlotSize - 9, Payload.data(), 8);
-  Out[SlotSize - 1] = 1;
-  return Out;
+  W.bytes(Payload.data(), 8);
+  W.u8(1);
+  return W.take();
 }
 
 } // namespace
@@ -149,6 +150,10 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
 
   Stored = Type.initialState();
   Applied.assign(N, std::vector<std::uint64_t>(Type.numMethods(), 0));
+  GroupMethods.resize(SumGroups);
+  for (MethodId U = 0; U < Type.numMethods(); ++U)
+    if (Spec.isUpdate(U) && Spec.sumGroup(U))
+      GroupMethods[*Spec.sumGroup(U)].push_back(U);
   SummaryCache.assign(SumGroups, std::vector<std::optional<Call>>(N));
   SummarySeqSeen.assign(SumGroups, std::vector<std::uint64_t>(N, 0));
   OwnSummary.assign(SumGroups, std::nullopt);
@@ -168,6 +173,7 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   ConfAppliedIdx.assign(Groups, 0);
   ConfSeen.resize(Groups);
   LeaderSpeculative.resize(Groups);
+  LeaderUncommitted.resize(Groups);
   LeaderQueue.resize(Groups);
   ConfApplyLog.resize(Groups);
   FreeApplyLog.resize(N);
@@ -284,20 +290,15 @@ void HambandNode::start() {
   Detector->start();
   schedulePoll();
   // Periodic scan for redirected conflicting calls that lost their leader.
-  // The pending event holds the only strong reference to the tick closure
-  // (the closure itself keeps a weak_ptr), so draining the event queue
-  // releases it.
-  if (Spec.numSyncGroups() > 0) {
-    auto Tick = std::make_shared<std::function<void()>>();
-    std::weak_ptr<std::function<void()>> Weak = Tick;
-    *Tick = [this, Weak]() {
-      checkConfTimeouts();
-      if (auto T = Weak.lock())
-        this->Fabric.runAfter(this->Self, Cfg.ConfRetryTimeout,
-                                          [T]() { (*T)(); });
-    };
-    Fabric.runAfter(Self, Cfg.ConfRetryTimeout, [Tick]() { (*Tick)(); });
-  }
+  if (Spec.numSyncGroups() > 0)
+    scheduleConfTick();
+}
+
+void HambandNode::scheduleConfTick() {
+  Fabric.runAfter(Self, Cfg.ConfRetryTimeout, [this]() {
+    checkConfTimeouts();
+    scheduleConfTick();
+  });
 }
 
 const ObjectState &HambandNode::visibleState() {
@@ -327,6 +328,7 @@ void HambandNode::applyToStored(const Call &C) {
 
 DepMap HambandNode::projectDeps(MethodId U) const {
   DepMap D;
+  D.reserve(Fabric.numNodes() * Spec.dependencies(U).size());
   for (MethodId Dep : Spec.dependencies(U))
     for (ProcessId Q = 0; Q < Fabric.numNodes(); ++Q)
       if (std::uint64_t Cnt = Applied[Q][Dep])
@@ -456,53 +458,64 @@ std::uint64_t HambandNode::stateDigest() {
 
 // -- Request paths ---------------------------------------------------------
 
-void HambandNode::submit(const Call &C, SubmitCallback Done) {
+void HambandNode::submit(PendingCallPtr P) {
   if (OutOfService) {
     // The driver redirects around failed nodes; reject stragglers.
-    if (Done)
-      Done(false, 0);
+    finish(*P, false, 0);
     return;
   }
-  if (EpochClosed && Spec.category(C.Method) != MethodCategory::Query) {
+  if (EpochClosed &&
+      Spec.category(P->TheCall.Method) != MethodCategory::Query) {
     // The epoch is closed for a membership transition: queries keep
     // flowing, updates bounce with the retry-contract sentinel (the
     // client resubmits after the new epoch opens).
     CtrWrongEpochReject->add();
-    if (Done)
-      Done(false, WrongEpochValue);
+    finish(*P, false, WrongEpochValue);
     return;
   }
 #if HAMBAND_OBS_ENABLED
-  // The submit→completion latency in simulated time; the wrap is compiled
-  // out entirely in HAMBAND_OBS=OFF builds.
-  Done = [this, T0 = Fabric.now(),
-          Inner = std::move(Done)](bool Ok, Value V) {
-    HistRespNs->record(Fabric.now() - T0);
-    if (Inner)
-      Inner(Ok, V);
-  };
+  // The submit→completion latency in simulated time (node.resp_ns); the
+  // clock read is compiled out in HAMBAND_OBS=OFF builds.
+  P->SubmittedAt = Fabric.now();
 #endif
-  switch (Spec.category(C.Method)) {
+  switch (Spec.category(P->TheCall.Method)) {
   case MethodCategory::Query:
     CtrCallQuery->add();
-    handleQuery(C, std::move(Done));
+    handleQuery(std::move(P));
     return;
   case MethodCategory::Reducible:
     CtrCallReduce->add();
-    handleReduce(C, std::move(Done));
+    handleReduce(std::move(P));
     return;
   case MethodCategory::IrreducibleFree:
     CtrCallFree->add();
-    handleFree(C, std::move(Done));
+    handleFree(std::move(P));
     return;
   case MethodCategory::Conflicting:
     CtrCallConf->add();
-    handleConf(C, std::move(Done));
+    handleConf(std::move(P));
     return;
   }
 }
 
-void HambandNode::handleQuery(const Call &C, SubmitCallback Done) {
+void HambandNode::complete(PendingCallPtr P, bool Ok, Value Result) {
+#if HAMBAND_OBS_ENABLED
+  HistRespNs->record(Fabric.now() - P->SubmittedAt);
+#endif
+  finish(*P, Ok, Result);
+}
+
+void HambandNode::finish(PendingCall &P, bool Ok, Value Result) {
+  if (P.Counts) {
+    if (P.IsUpdate)
+      P.Counts->Updates.fetch_sub(1, std::memory_order_acq_rel);
+    P.Counts->Calls.fetch_sub(1, std::memory_order_acq_rel);
+  }
+  if (P.Done)
+    P.Done(Ok, Result);
+}
+
+void HambandNode::handleQuery(PendingCallPtr P) {
   const rdma::NetworkModel &M = Fabric.model();
   unsigned NumSummaries = 0;
   for (const auto &Group : SummaryCache)
@@ -512,14 +525,14 @@ void HambandNode::handleQuery(const Call &C, SubmitCallback Done) {
   sim::SimDuration Cost = M.QueryCpu + NumSummaries * M.ApplySummaryCpu;
   Fabric.runOnCpu(
       Self, Cost,
-      [this, C, Done = std::move(Done)]() {
-        Value V = Type.query(visibleState(), C);
-        Done(true, V);
+      [this, P = std::move(P)]() mutable {
+        Value V = Type.query(visibleState(), P->TheCall);
+        complete(std::move(P), true, V);
       },
       rdma::Transport::LaneClient);
 }
 
-void HambandNode::handleReduce(Call C, SubmitCallback Done) {
+void HambandNode::handleReduce(PendingCallPtr P) {
   const rdma::NetworkModel &M = Fabric.model();
   // Unbatched calls (MaxCalls = 1) serialize inside their own CPU task;
   // batches defer that work to the flush (one ParseCpu per flush).
@@ -527,117 +540,120 @@ void HambandNode::handleReduce(Call C, SubmitCallback Done) {
       Cfg.Batch.MaxCalls > 1 ? M.ApplyCpu : M.ApplyCpu + M.ParseCpu;
   Fabric.runOnCpu(
       Self, Cost,
-      [this, C = std::move(C), Done = std::move(Done)]() mutable {
-        Call P = Type.prepare(visibleState(), C);
-        if (!Type.permissible(visibleState(), P)) {
-          Done(false, 0);
+      [this, P = std::move(P)]() mutable {
+        Call Eff = Type.prepare(visibleState(), P->TheCall);
+        if (!Type.permissible(visibleState(), Eff)) {
+          complete(std::move(P), false, 0);
           return;
         }
-        unsigned G = *Spec.sumGroup(P.Method);
-        Call NewSummary = P;
-        bool Folded = false;
-        if (OwnSummary[G]) {
-          bool Ok = Type.summarize(*OwnSummary[G], P, NewSummary);
+        unsigned G = *Spec.sumGroup(Eff.Method);
+        std::optional<Call> &Own = OwnSummary[G];
+        // The fold of the own summary and this call; the first call of a
+        // group is its own summary.
+        Call Folded;
+        if (Own) {
+          bool Ok = Type.summarize(*Own, Eff, Folded);
           assert(Ok && "summarization group not closed");
           (void)Ok;
-          Folded = true;
         }
         // Shippability gate BEFORE any replicated-state mutation: if the
         // grown image can neither fit the summary slot nor be chunked
         // over the F-rings, folding this call would wedge every future
         // ship of the group. Reject with no side effects.
         if (Fabric.numNodes() > 1 &&
-            !fullImageShippable(NewSummary, groupMethods(G).size())) {
+            !fullImageShippable(Own ? Folded : Eff, groupMethods(G).size())) {
           CtrOversizeReject->add();
-          Done(false, 0);
+          complete(std::move(P), false, 0);
           return;
         }
-        if (Folded)
+        if (Own) {
           CtrReductions->add();
-        OwnSummary[G] = NewSummary;
+          *Own = std::move(Folded);
+        } else {
+          Own = Eff;
+        }
         ++OwnSummarySeq[G];
-        Applied[Self][P.Method] += 1;
+        Applied[Self][Eff.Method] += 1;
         ++NumLocalUpdates;
-        SummaryCache[G][Self] = NewSummary;
+        SummaryCache[G][Self] = *Own;
         // The fold appends exactly the prepared call, and reducible calls
         // are conflict-free (they S-commute with everything a rebuild
         // applies after them), so the visible cache can absorb the call
         // incrementally -- a rebuild is O(summary size), ruinous for
         // big-state workloads.
         if (VisibleCache && !VisibleDirty)
-          Type.apply(*VisibleCache, P);
+          Type.apply(*VisibleCache, Eff);
         else
           VisibleDirty = true;
 
         // The call is already folded into OwnSummary[G]; the flush ships
         // one image covering every fold since the last one.
         if (activePeerCount() == 0) {
-          Done(true, 0);
+          complete(std::move(P), true, 0);
           return;
         }
         if (Cfg.Delta.Enabled) {
           // The per-flush delta folds alongside the full summary.
           if (PendingDelta[G]) {
             Call D;
-            bool Ok = Type.applyDelta(*PendingDelta[G], P, D);
+            bool Ok = Type.applyDelta(*PendingDelta[G], Eff, D);
             assert(Ok && "summarization group not closed");
             (void)Ok;
             PendingDelta[G] = std::move(D);
           } else {
-            PendingDelta[G] = P;
+            PendingDelta[G] = std::move(Eff);
           }
         }
         ++SumBatchCalls[G];
         if (Cfg.RespondAfterCompletion)
-          SumBatchDone[G].push_back(std::move(Done));
+          SumBatchDone[G].push_back(std::move(P));
         else
-          Done(true, 0);
+          complete(std::move(P), true, 0);
         noteBatchedCall();
       },
       rdma::Transport::LaneClient);
 }
 
-void HambandNode::handleFree(Call C, SubmitCallback Done) {
+void HambandNode::handleFree(PendingCallPtr P) {
   const rdma::NetworkModel &M = Fabric.model();
   Fabric.runOnCpu(
       Self, 2 * M.ApplyCpu + M.ParseCpu,
-      [this, C = std::move(C), Done = std::move(Done)]() mutable {
-        Call P = Type.prepare(visibleState(), C);
-        if (!Type.permissible(visibleState(), P)) {
-          Done(false, 0);
+      [this, P = std::move(P)]() mutable {
+        WireCall WC;
+        WC.TheCall = Type.prepare(visibleState(), P->TheCall);
+        const Call &Eff = WC.TheCall;
+        if (!Type.permissible(visibleState(), Eff)) {
+          complete(std::move(P), false, 0);
           return;
         }
-        applyToStored(P);
-        Applied[Self][P.Method] += 1;
+        applyToStored(Eff);
+        Applied[Self][Eff.Method] += 1;
         if (Cfg.RecordApplyLog)
-          FreeApplyLog[Self].push_back(P.Req);
+          FreeApplyLog[Self].push_back(Eff.Req);
         ++NumLocalUpdates;
 
-        WireCall WC;
-        WC.TheCall = P;
-        WC.Deps = projectDeps(P.Method);
+        WC.Deps = projectDeps(Eff.Method);
         WC.BcastSeq = BcastSeqOut++;
         WC.Epoch = CurrentEpoch;
-        std::vector<std::uint8_t> Bytes =
-            encodeCall(Spec, Fabric.numNodes(), WC);
+        Bytes Encoded = encodeCall(Spec, Fabric.numNodes(), WC);
 
         if (activePeerCount() == 0) {
-          Done(true, 0);
+          complete(std::move(P), true, 0);
           return;
         }
         // Pre-flush when this call would overflow the batch record cap
         // (flushBatches also chunks oversized batches defensively, but
         // flushing here keeps each staged image within the cap).
-        std::size_t Framed = Bytes.size() + 4; // u32 length prefix
+        std::size_t Framed = Encoded.size() + 4; // u32 length prefix
         if (!FreeBatch.empty() &&
             4 + FreeBatchBytes + Framed > freeBatchCapBytes())
           flushBatches(FlushCause::Size);
         BatchedFree B;
-        B.Bytes = std::move(Bytes);
+        B.Encoded = std::move(Encoded);
         if (Cfg.RespondAfterCompletion)
-          B.Done = std::move(Done);
+          B.Call = std::move(P);
         else
-          Done(true, 0);
+          complete(std::move(P), true, 0);
         FreeBatchBytes += Framed;
         FreeBatch.push_back(std::move(B));
         noteBatchedCall();
@@ -645,73 +661,80 @@ void HambandNode::handleFree(Call C, SubmitCallback Done) {
       rdma::Transport::LaneClient);
 }
 
-void HambandNode::handleConf(Call C, SubmitCallback Done) {
-  unsigned G = *Spec.syncGroup(C.Method);
-  const rdma::NetworkModel &M = Fabric.model();
-  rdma::NodeId Leader = Consensus[G]->currentLeader();
-  if (Leader == Self) {
-    Fabric.runOnCpu(
-        Self, M.ParseCpu + M.ApplyCpu,
-        [this, G, C = std::move(C), Done = std::move(Done)]() mutable {
-          // A conflicting call flushes the batch eagerly so the calls
-          // issued before it are ordered before it, as when unbatched.
-          flushOutgoing();
-          leaderProcessConf(G, Self, C.Req, std::move(C), std::move(Done));
-        },
-        rdma::Transport::LaneClient);
-    return;
-  }
-  // Redirect through the single-writer mailbox ring on the leader.
-  PendingConfRequest Req;
-  Req.TheCall = C;
-  Req.Done = std::move(Done);
-  Req.Group = G;
-  Req.SentAt = Fabric.now();
-  Req.SentTo = Leader;
-  AwaitingResponse.emplace(C.Req, std::move(Req));
+Bytes HambandNode::encodeConfRequest(const Call &C) const {
   MailMsg Msg;
   Msg.Kind = MailKind::ConfRequest;
   Msg.Origin = Self;
   Msg.ReqId = C.Req;
   Msg.Epoch = CurrentEpoch;
   Msg.TheCall = C;
-  std::vector<std::uint8_t> Bytes = encodeMail(Msg);
+  return encodeMail(Msg);
+}
+
+void HambandNode::mailTo(rdma::NodeId Peer, Bytes Record) {
+  AppendRetry{&Fabric, MailWriters[Peer].get(), std::move(Record),
+              Cfg.PollInterval}();
+}
+
+void HambandNode::handleConf(PendingCallPtr P) {
+  unsigned G = *Spec.syncGroup(P->TheCall.Method);
+  const rdma::NetworkModel &M = Fabric.model();
+  rdma::NodeId Leader = Consensus[G]->currentLeader();
+  if (Leader == Self) {
+    Fabric.runOnCpu(
+        Self, M.ParseCpu + M.ApplyCpu,
+        [this, G, P = std::move(P)]() mutable {
+          // A conflicting call flushes the batch eagerly so the calls
+          // issued before it are ordered before it, as when unbatched.
+          flushOutgoing();
+          leaderProcessConf(G, Self, std::move(P));
+        },
+        rdma::Transport::LaneClient);
+    return;
+  }
+  // Redirect through the single-writer mailbox ring on the leader.
+  Bytes Request = encodeConfRequest(P->TheCall);
+  RequestId ReqId = P->TheCall.Req;
+  PendingConfRequest Req;
+  Req.Call = std::move(P);
+  Req.Group = G;
+  Req.SentAt = Fabric.now();
+  Req.SentTo = Leader;
+  AwaitingResponse.emplace(ReqId, std::move(Req));
   Fabric.runOnCpu(
       Self, M.ParseCpu,
-      [this, Leader, Bytes = std::move(Bytes)]() {
+      [this, Leader, Request = std::move(Request)]() mutable {
         // Eager flush: the batched calls' ring/slot writes post before
         // the redirect mail on the same lane, preserving the unbatched
         // arrival order at the leader.
         flushOutgoing();
-        appendWithRetry(this->Fabric, *MailWriters[Leader],
-                        Bytes, Cfg.PollInterval, nullptr);
+        mailTo(Leader, std::move(Request));
       },
       rdma::Transport::LaneClient);
 }
 
 void HambandNode::leaderProcessConf(unsigned G, ProcessId Origin,
-                                    RequestId ReqId, Call C,
-                                    SubmitCallback LocalDone,
+                                    PendingCallPtr P,
                                     sim::SimTime WaitDeadline) {
+  const RequestId ReqId = P->TheCall.Req;
   if (Consensus[G]->currentLeader() != Self) {
-    // We are not the leader (any more): tell the origin to retry.
-    respondConf(Origin, ReqId, ConfOutcome::Retry, nullptr);
-    if (LocalDone) {
-      // A local call: redirect it ourselves.
-      Call C2 = std::move(C);
-      handleConf(std::move(C2), std::move(LocalDone));
-    }
+    // We are not the leader (any more): a local call is redirected by
+    // us, a forwarded one is told to retry.
+    if (Origin == Self)
+      handleConf(std::move(P));
+    else
+      respondConf(Origin, ReqId, ConfOutcome::Retry, nullptr);
     return;
   }
   if (ConfSeen[G].count(ReqId)) {
-    respondConf(Origin, ReqId, ConfOutcome::Committed, std::move(LocalDone));
+    respondConf(Origin, ReqId, ConfOutcome::Committed, std::move(P));
     return;
   }
-  if (!Consensus[G]->isLeader()) {
-    // Elected but still catching up: queue and retry from the poller.
+  // Elected but still catching up, or a follower ring is momentarily
+  // full: queue and retry from the poller.
+  if (!Consensus[G]->isLeader() || !Consensus[G]->canAppend()) {
     PendingConfRequest Req;
-    Req.TheCall = std::move(C);
-    Req.Done = std::move(LocalDone);
+    Req.Call = std::move(P);
     Req.Group = G;
     Req.SentAt = Fabric.now();
     Req.SentTo = Origin; // Reused as the origin for queued requests.
@@ -719,22 +742,12 @@ void HambandNode::leaderProcessConf(unsigned G, ProcessId Origin,
     return;
   }
 
-  if (!Consensus[G]->canAppend()) {
-    // A follower ring is momentarily full: queue and retry shortly.
-    PendingConfRequest Req;
-    Req.TheCall = std::move(C);
-    Req.Done = std::move(LocalDone);
-    Req.Group = G;
-    Req.SentAt = Fabric.now();
-    Req.SentTo = Origin;
-    LeaderQueue[G].push_back(std::move(Req));
-    return;
-  }
-
   // Speculative permissibility: the call must keep the invariant after
   // every already-appended (but not yet applied) call of this group.
-  Call Prepared = Type.prepare(visibleState(), C);
-  if (!Type.invariantAfter(visibleState(), LeaderSpeculative[G], Prepared)) {
+  WireCall WC;
+  WC.TheCall = Type.prepare(visibleState(), P->TheCall);
+  if (!Type.invariantAfter(visibleState(), LeaderSpeculative[G],
+                           WC.TheCall)) {
     // Not (yet) permissible. A dependent call may become permissible once
     // its dependencies are delivered (e.g. worksOn waiting for its
     // addProject), so hold it briefly before rejecting -- this wait is
@@ -744,13 +757,11 @@ void HambandNode::leaderProcessConf(unsigned G, ProcessId Origin,
       WaitDeadline = Now + Cfg.PermissibilityWait;
     if (Now >= WaitDeadline) {
       // Still impermissible after the grace period: terminal rejection.
-      respondConf(Origin, ReqId, ConfOutcome::Rejected,
-                  std::move(LocalDone));
+      respondConf(Origin, ReqId, ConfOutcome::Rejected, std::move(P));
       return;
     }
     PendingConfRequest Req;
-    Req.TheCall = std::move(C);
-    Req.Done = std::move(LocalDone);
+    Req.Call = std::move(P);
     Req.Group = G;
     Req.SentAt = Now;
     Req.SentTo = Origin;
@@ -761,38 +772,42 @@ void HambandNode::leaderProcessConf(unsigned G, ProcessId Origin,
 
   // The leader becomes the issuing process of the ordered call (the
   // request id keeps end-to-end identity for deduplication).
-  Prepared.Issuer = Self;
-  WireCall WC;
-  WC.TheCall = Prepared;
-  WC.Deps = projectDeps(Prepared.Method);
+  WC.TheCall.Issuer = Self;
+  WC.Deps = projectDeps(WC.TheCall.Method);
   WC.BcastSeq = Consensus[G]->nextIndex();
   WC.Epoch = CurrentEpoch;
-  std::vector<std::uint8_t> Bytes =
-      encodeCall(this->Spec, Fabric.numNodes(), WC);
+  Bytes Entry = encodeCall(this->Spec, Fabric.numNodes(), WC);
 
-  std::uint64_t Idx = Consensus[G]->nextIndex();
   std::uint64_t EpochAtAppend = Consensus[G]->epoch();
+  LeaderSpeculative[G].push_back(WC.TheCall);
+  // The entry waits under a token of its own until the commit moves its
+  // map node into ConfPending; the closure keeps only the token and the
+  // local call (null for a forwarded one).
+  std::uint64_t Token = NextAppendToken++;
+  LeaderUncommitted[G].emplace(Token, std::move(WC));
+  PendingCallPtr Local = Origin == Self ? std::move(P) : nullptr;
   bool Posted = Consensus[G]->leaderAppend(
-      Bytes, [this, G, Idx, WC, Origin, ReqId, EpochAtAppend,
-              LocalDone](bool Committed) mutable {
+      Entry, [this, G, Origin, Token, EpochAtAppend,
+              Local = std::move(Local)](bool Committed) mutable {
+        auto Appended = LeaderUncommitted[G].extract(Token);
+        const WireCall &Ordered = Appended.mapped();
+        RequestId ReqId = Ordered.TheCall.Req;
         // A commit that lands after this node was deposed must not enter
         // the log copy: the new leader's adoption decided the entry's
         // fate. Answer "retry"; the dedup set at the new leader resolves
         // whether the entry survived.
         if (!Committed || Consensus[G]->epoch() != EpochAtAppend) {
-          respondConf(Origin, ReqId, ConfOutcome::Retry,
-                      std::move(LocalDone));
+          respondConf(Origin, ReqId, ConfOutcome::Retry, std::move(Local));
           return;
         }
-        ConfPending[G].emplace(Idx, WC);
+        Appended.key() = Ordered.BcastSeq; // The log index.
+        ConfPending[G].insert(std::move(Appended));
         bumpConfContig(G);
-        respondConf(Origin, ReqId, ConfOutcome::Committed,
-                    std::move(LocalDone));
+        respondConf(Origin, ReqId, ConfOutcome::Committed, std::move(Local));
       });
   assert(Posted && "canAppend() was checked above");
   (void)Posted;
   ConfSeen[G].insert(ReqId);
-  LeaderSpeculative[G].push_back(Prepared);
   // Sequencing an entry occupies the leader beyond the raw verb posts.
   Fabric.chargeCpu(Self, Fabric.model().ConsensusEntryCpu,
                    rdma::Transport::LaneClient);
@@ -807,10 +822,10 @@ void HambandNode::retryLeaderQueue(unsigned G) {
     std::deque<PendingConfRequest> Orphans;
     Orphans.swap(LeaderQueue[G]);
     for (PendingConfRequest &Req : Orphans) {
-      if (Req.SentTo == Self && Req.Done)
-        handleConf(std::move(Req.TheCall), std::move(Req.Done));
+      if (Req.SentTo == Self)
+        handleConf(std::move(Req.Call));
       else
-        respondConf(Req.SentTo, Req.TheCall.Req, ConfOutcome::Retry,
+        respondConf(Req.SentTo, Req.Call->TheCall.Req, ConfOutcome::Retry,
                     nullptr);
     }
     return;
@@ -829,20 +844,17 @@ void HambandNode::retryLeaderQueue(unsigned G) {
       continue;
     }
     Req.SentAt = Now;
-    RequestId Id = Req.TheCall.Req;
-    leaderProcessConf(G, Req.SentTo, Id, std::move(Req.TheCall),
-                      std::move(Req.Done), Req.WaitDeadline);
+    leaderProcessConf(G, Req.SentTo, std::move(Req.Call), Req.WaitDeadline);
   }
 }
 
 void HambandNode::respondConf(ProcessId Origin, RequestId ReqId,
-                              ConfOutcome Outcome,
-                              SubmitCallback LocalDone) {
+                              ConfOutcome Outcome, PendingCallPtr Local) {
   if (Origin == Self) {
     // A local Retry is handled by the caller (it re-routes the call); a
-    // callback here is terminal.
-    if (LocalDone)
-      LocalDone(Outcome == ConfOutcome::Committed, 0);
+    // completion here is terminal.
+    if (Local)
+      complete(std::move(Local), Outcome == ConfOutcome::Committed, 0);
     return;
   }
   MailMsg Msg;
@@ -851,8 +863,7 @@ void HambandNode::respondConf(ProcessId Origin, RequestId ReqId,
   Msg.ReqId = ReqId;
   Msg.Ok = static_cast<std::uint8_t>(Outcome);
   Msg.Epoch = CurrentEpoch;
-  appendWithRetry(Fabric, *MailWriters[Origin],
-                  encodeMail(Msg), Cfg.PollInterval, nullptr);
+  mailTo(Origin, encodeMail(Msg));
 }
 
 void HambandNode::checkConfTimeouts() {
@@ -870,24 +881,16 @@ void HambandNode::checkConfTimeouts() {
       TakeOver.push_back(ReqId); // We became the leader meanwhile.
       continue;
     }
-    MailMsg Msg;
-    Msg.Kind = MailKind::ConfRequest;
-    Msg.Origin = Self;
-    Msg.ReqId = ReqId;
-    Msg.Epoch = CurrentEpoch;
-    Msg.TheCall = Req.TheCall;
-    appendWithRetry(Fabric, *MailWriters[Leader],
-                    encodeMail(Msg), Cfg.PollInterval, nullptr);
+    mailTo(Leader, encodeConfRequest(Req.Call->TheCall));
   }
   for (RequestId Id : TakeOver) {
     auto It = AwaitingResponse.find(Id);
     if (It == AwaitingResponse.end())
       continue;
-    Call C = std::move(It->second.TheCall);
-    SubmitCallback Done = std::move(It->second.Done);
+    PendingCallPtr P = std::move(It->second.Call);
     unsigned G = It->second.Group;
     AwaitingResponse.erase(It);
-    leaderProcessConf(G, Self, Id, std::move(C), std::move(Done));
+    leaderProcessConf(G, Self, std::move(P));
   }
 }
 
@@ -930,7 +933,7 @@ void HambandNode::pollOnce() {
 
 unsigned HambandNode::pollFreeRings() {
   unsigned Parsed = 0;
-  std::vector<std::uint8_t> Bytes;
+  std::vector<std::uint8_t> &Bytes = PollBuf;
   for (rdma::NodeId J = 0; J < Fabric.numNodes(); ++J) {
     if (J == Self)
       continue;
@@ -1016,8 +1019,9 @@ unsigned HambandNode::pollSummaries() {
       // bytes between the length read and the payload slice. The snapshot
       // is validated via the seqlock trailer slotBytes() stamps: a torn
       // blend pairs a new header with an old trailer.
-      std::vector<std::uint8_t> Slot =
-          Mem.sliceStable(Off, Cfg.SummarySlotBytes);
+      std::vector<std::uint8_t> &Slot = PollBuf;
+      Slot.resize(Cfg.SummarySlotBytes);
+      Mem.readStable(Off, Slot.data(), Slot.size());
       if (Slot[Cfg.SummarySlotBytes - 1] != 1)
         continue;
       std::uint64_t SnapSeq = 0, Trailer = 0;
@@ -1029,10 +1033,12 @@ unsigned HambandNode::pollSummaries() {
       std::memcpy(&Len, Slot.data(), 4);
       if (Len < 8 || Len + 13 > Cfg.SummarySlotBytes)
         continue;
-      SummaryImage Img;
+      // Decoded into a reused image: installing swaps the replaced summary
+      // back into it, so steady slot traffic reuses two buffers.
+      SummaryImage &Img = RecvImage;
       if (!decodeSummary(Slot.data() + 4, Len, Img))
         continue;
-      installFullImage(G, Src, std::move(Img));
+      installFullImage(G, Src, Img);
       ++Parsed;
     }
   }
@@ -1046,14 +1052,6 @@ std::size_t HambandNode::summaryImageBytes(std::size_t NumArgs,
   // encodeSummary: u64 seq | u16 method | u16 argc | u32 issuer | u64 req
   // | i64 args[argc] | u16 k | k x (u16 method, u64 count).
   return 24 + 8 * NumArgs + 2 + 10 * NumCounts;
-}
-
-std::vector<MethodId> HambandNode::groupMethods(unsigned G) const {
-  std::vector<MethodId> Out;
-  for (MethodId U = 0; U < Type.numMethods(); ++U)
-    if (Spec.isUpdate(U) && Spec.sumGroup(U) && *Spec.sumGroup(U) == G)
-      Out.push_back(U);
-  return Out;
 }
 
 std::size_t HambandNode::frameChunkMaxArgs() const {
@@ -1083,30 +1081,31 @@ bool HambandNode::fullImageShippable(const Call &Summary,
   return Full + SummaryDeltaHeaderBytes <= Cfg.FreeGeom.maxRecordPayload();
 }
 
-void HambandNode::postFrameToPeers(const std::vector<std::uint8_t> &Bytes,
-                                   std::function<void()> OnOne) {
-  unsigned N = Fabric.numNodes();
-  for (rdma::NodeId Peer = 0; Peer < N; ++Peer) {
-    if (Peer == Self || !activeNode(Peer))
-      continue;
-    appendFreeOrdered(Peer, Bytes,
-                      [OnOne](rdma::WcStatus) { OnOne(); });
-  }
-}
-
-void HambandNode::appendFreeOrdered(rdma::NodeId Peer,
-                                    std::vector<std::uint8_t> Bytes,
+void HambandNode::appendFreeOrdered(rdma::NodeId Peer, const Bytes &Record,
                                     rdma::CompletionFn Done) {
-  FreeOutbound[Peer].push_back({std::move(Bytes), std::move(Done)});
-  drainFreeOutbound(Peer);
+  auto &Q = FreeOutbound[Peer];
+  if (!Q.empty()) {
+    Q.push_back({Record, std::move(Done)});
+    drainFreeOutbound(Peer);
+    return;
+  }
+  // Nothing queued: append at once, queueing only when the ring is full.
+  if (FreeWriters[Peer]->appendRecord(Record, std::move(Done)))
+    return;
+  Q.push_back({Record, std::move(Done)});
+  armFreeOutbound(Peer);
 }
 
 void HambandNode::drainFreeOutbound(rdma::NodeId Peer) {
   auto &Q = FreeOutbound[Peer];
-  while (!Q.empty() &&
-         FreeWriters[Peer]->appendRecord(Q.front().Bytes, Q.front().Done))
+  while (!Q.empty() && FreeWriters[Peer]->appendRecord(
+                           Q.front().Record, std::move(Q.front().Done)))
     Q.pop_front();
-  if (Q.empty() || FreeOutboundArmed[Peer])
+  armFreeOutbound(Peer);
+}
+
+void HambandNode::armFreeOutbound(rdma::NodeId Peer) {
+  if (FreeOutbound[Peer].empty() || FreeOutboundArmed[Peer])
     return;
   // Ring full mid-stream: hold the queue and retry head-first once the
   // reader's head feedback lands (or after PollInterval). The retry runs
@@ -1118,13 +1117,13 @@ void HambandNode::drainFreeOutbound(rdma::NodeId Peer) {
   });
 }
 
-std::vector<std::vector<std::uint8_t>>
+std::vector<Bytes>
 HambandNode::encodeFullFrames(unsigned G, const SummaryImage &Img) const {
   std::vector<Call> Chunks =
       Type.decomposeSummary(Img.Summary, frameChunkMaxArgs());
   assert(!Chunks.empty() && Chunks.size() <= 0xFFFF &&
          "fullImageShippable() admits at most 65535 chunks");
-  std::vector<std::vector<std::uint8_t>> Out;
+  std::vector<Bytes> Out;
   Out.reserve(Chunks.size());
   for (std::size_t I = 0; I < Chunks.size(); ++I) {
     SummaryImage Part;
@@ -1158,7 +1157,7 @@ bool HambandNode::handleSummaryFrame(ProcessId Src,
       return false;
     }
     if (F.ChunkCount <= 1)
-      return installFullImage(G, Src, std::move(Img));
+      return installFullImage(G, Src, Img);
     if (F.ToSeq <= SummarySeqSeen[G][Src])
       return false; // A chunk of an image we already superseded.
     ChunkAssembly &A = Assemblies[G][Src];
@@ -1190,7 +1189,7 @@ bool HambandNode::handleSummaryFrame(ProcessId Src,
     A.Seq = 0;
     A.Parts.clear();
     A.Have = 0;
-    return installFullImage(G, Src, std::move(Whole));
+    return installFullImage(G, Src, Whole);
   }
   // Delta frame.
   if (F.ToSeq <= SummarySeqSeen[G][Src]) {
@@ -1267,10 +1266,14 @@ void HambandNode::retryBufferedFrames(unsigned G, ProcessId Src) {
 }
 
 bool HambandNode::installFullImage(unsigned G, ProcessId Src,
-                                   SummaryImage Img) {
+                                   SummaryImage &Img) {
   if (Img.Seq <= SummarySeqSeen[G][Src])
     return false;
-  SummaryCache[G][Src] = std::move(Img.Summary);
+  std::optional<Call> &Cached = SummaryCache[G][Src];
+  if (Cached)
+    std::swap(*Cached, Img.Summary);
+  else
+    Cached = std::move(Img.Summary);
   SummarySeqSeen[G][Src] = Img.Seq;
   for (const auto &[U, Cnt] : Img.AppliedCounts)
     if (Cnt > Applied[Src][U])
@@ -1308,7 +1311,7 @@ std::size_t HambandNode::bufferedDeltaFrames(unsigned Group,
 
 unsigned HambandNode::pollConfRings() {
   unsigned Parsed = 0;
-  std::vector<std::uint8_t> Bytes;
+  std::vector<std::uint8_t> &Bytes = PollBuf;
   for (unsigned G = 0; G < ConfReaders.size(); ++G) {
     for (unsigned K = 0; K < 64 && ConfReaders[G]->peek(Bytes); ++K) {
       WireCall WC;
@@ -1336,7 +1339,7 @@ void HambandNode::bumpConfContig(unsigned Group) {
 
 unsigned HambandNode::pollMailboxes() {
   unsigned Parsed = 0;
-  std::vector<std::uint8_t> Bytes;
+  std::vector<std::uint8_t> &Bytes = PollBuf;
   for (rdma::NodeId J = 0; J < Fabric.numNodes(); ++J) {
     if (J == Self)
       continue;
@@ -1346,13 +1349,13 @@ unsigned HambandNode::pollMailboxes() {
       MailReaders[J]->consume();
       ++Parsed;
       if (Ok)
-        handleMail(J, Msg);
+        handleMail(J, std::move(Msg));
     }
   }
   return Parsed;
 }
 
-void HambandNode::handleMail(ProcessId /*From*/, const MailMsg &Msg) {
+void HambandNode::handleMail(ProcessId /*From*/, MailMsg Msg) {
   if (Msg.Kind == MailKind::ConfRequest) {
     if (OutOfService)
       return; // Dropped; the origin retries against the next leader.
@@ -1370,7 +1373,9 @@ void HambandNode::handleMail(ProcessId /*From*/, const MailMsg &Msg) {
     // batch so the ordered entry never overtakes this node's earlier
     // unshipped calls.
     flushOutgoing();
-    leaderProcessConf(G, Msg.Origin, Msg.ReqId, Msg.TheCall, nullptr);
+    leaderProcessConf(G, Msg.Origin,
+                      std::make_unique<PendingCall>(std::move(Msg.TheCall),
+                                                    nullptr));
     return;
   }
   // ConfResponse.
@@ -1387,10 +1392,9 @@ void HambandNode::handleMail(ProcessId /*From*/, const MailMsg &Msg) {
     return;
   }
   // Committed or terminally rejected: complete the client call.
-  SubmitCallback Done = std::move(It->second.Done);
+  PendingCallPtr P = std::move(It->second.Call);
   AwaitingResponse.erase(It);
-  if (Done)
-    Done(Outcome == ConfOutcome::Committed, 0);
+  complete(std::move(P), Outcome == ConfOutcome::Committed, 0);
 }
 
 unsigned HambandNode::applyPendingFree() {
@@ -1538,20 +1542,22 @@ void HambandNode::flushBatches(FlushCause Cause) {
   HistBatchBytes->record(FreeBatchBytes);
 
   // Take ownership of the accumulated batch; calls arriving while this
-  // flush is in flight accumulate into fresh state.
+  // flush is in flight accumulate into fresh state. The tally completes
+  // the batch's calls, summary calls first, once every write completed.
   std::vector<BatchedFree> Free = std::move(FreeBatch);
   FreeBatch.clear();
   FreeBatchBytes = 0;
   BatchedPending = 0;
-  std::vector<unsigned> DirtyGroups;
-  std::vector<SubmitCallback> Dones;
+  auto Tally = std::make_shared<FlushTally>();
+  std::vector<unsigned> &DirtyGroups = Scratch.DirtyGroups;
+  DirtyGroups.clear();
   for (unsigned G = 0; G < SumBatchCalls.size(); ++G) {
     if (SumBatchCalls[G] == 0)
       continue;
     DirtyGroups.push_back(G);
     SumBatchCalls[G] = 0;
-    for (SubmitCallback &D : SumBatchDone[G])
-      Dones.push_back(std::move(D));
+    for (PendingCallPtr &P : SumBatchDone[G])
+      Tally->Calls.push_back(std::move(P));
     SumBatchDone[G].clear();
   }
 
@@ -1562,16 +1568,19 @@ void HambandNode::flushBatches(FlushCause Cause) {
   // or chunked full-image frames (anti-entropy round, slot overflow, or
   // an oversized delta). Full frames are exempt from the test-only delta
   // drop hook, so anti-entropy always heals.
-  FlushImage Img;
+  FlushImage &Img = Scratch.Staged;
+  Img.Summaries.clear();
+  Img.FreeRecord = Bytes();
   bool StageOk = true;
-  std::vector<std::vector<std::uint8_t>> SummarySlots;
-  std::vector<unsigned> SlotGroups;
-  std::vector<std::vector<std::uint8_t>> FullFrames;
-  std::vector<std::vector<std::uint8_t>> DeltaFrames;
+  std::vector<std::pair<unsigned, Bytes>> &SlotWrites = Scratch.SlotWrites;
+  SlotWrites.clear();
+  std::vector<Bytes> FullFrames;
+  std::vector<Bytes> DeltaFrames;
   for (unsigned G : DirtyGroups) {
-    SummaryImage SImg;
+    SummaryImage &SImg = Scratch.Image;
     SImg.Seq = OwnSummarySeq[G];
     SImg.Summary = *OwnSummary[G];
+    SImg.AppliedCounts.clear();
     for (MethodId U : groupMethods(G))
       SImg.AppliedCounts.emplace_back(U, Applied[Self][U]);
     std::size_t FullBytes = summaryImageBytes(SImg.Summary.Args.size(),
@@ -1581,13 +1590,11 @@ void HambandNode::flushBatches(FlushCause Cause) {
     // recovery) -- unless it cannot possibly fit the backup slot, in
     // which case the whole flush goes unstaged (counted): staging a
     // partial flush image would break the flush's crash atomicity.
-    std::vector<std::uint8_t> Payload;
+    Bytes Payload;
     if (FitsSlot || FullBytes + 11 <= Cfg.BackupSlotBytes)
       Payload = encodeSummary(SImg);
-    if (!Cfg.Delta.Enabled && FitsSlot) {
-      SummarySlots.push_back(slotBytes(Payload, Cfg.SummarySlotBytes));
-      SlotGroups.push_back(G);
-    }
+    if (!Cfg.Delta.Enabled && FitsSlot)
+      SlotWrites.emplace_back(G, slotBytes(Payload, Cfg.SummarySlotBytes));
     if (FullBytes + 11 <= Cfg.BackupSlotBytes)
       Img.Summaries.emplace_back(static_cast<std::uint8_t>(G),
                                  std::move(Payload));
@@ -1597,7 +1604,7 @@ void HambandNode::flushBatches(FlushCause Cause) {
     if (!Cfg.Delta.Enabled) {
       if (!FitsSlot) {
         CtrSlotOverflow->add();
-        for (auto &FB : encodeFullFrames(G, SImg))
+        for (Bytes &FB : encodeFullFrames(G, SImg))
           FullFrames.push_back(std::move(FB));
         CtrDeltaFullOut->add();
       }
@@ -1622,7 +1629,7 @@ void HambandNode::flushBatches(FlushCause Cause) {
       F.ToSeq = OwnSummarySeq[G];
       F.Epoch = CurrentEpoch;
       F.Image = encodeSummary(DImg);
-      std::vector<std::uint8_t> Enc = encodeSummaryDelta(F);
+      Bytes Enc = encodeSummaryDelta(F);
       if (Enc.size() <= Cfg.FreeGeom.maxRecordPayload()) {
         DeltaFrames.push_back(std::move(Enc));
         CtrDeltaOut->add();
@@ -1632,7 +1639,7 @@ void HambandNode::flushBatches(FlushCause Cause) {
       }
     }
     if (ShipFull) {
-      for (auto &FB : encodeFullFrames(G, SImg))
+      for (Bytes &FB : encodeFullFrames(G, SImg))
         FullFrames.push_back(std::move(FB));
       CtrDeltaFullOut->add();
       DeltaFlushesSinceFull[G] = 0;
@@ -1643,16 +1650,16 @@ void HambandNode::flushBatches(FlushCause Cause) {
 
   // The free calls, chunked into wire records that each fit a spanning
   // ring reservation. A single-call chunk uses the plain record format.
-  std::vector<std::vector<std::uint8_t>> AllCalls;
+  std::vector<Bytes> AllCalls;
   AllCalls.reserve(Free.size());
   for (BatchedFree &B : Free) {
-    if (B.Done)
-      Dones.push_back(std::move(B.Done));
-    AllCalls.push_back(std::move(B.Bytes));
+    if (B.Call)
+      Tally->Calls.push_back(std::move(B.Call));
+    AllCalls.push_back(std::move(B.Encoded));
   }
   if (!AllCalls.empty())
     Img.FreeRecord = encodeCallBatch(AllCalls);
-  std::vector<std::vector<std::uint8_t>> Records;
+  std::vector<Bytes> Records;
   const std::size_t Cap = freeBatchCapBytes();
   for (std::size_t I = 0; I < AllCalls.size();) {
     std::size_t J = I;
@@ -1665,23 +1672,21 @@ void HambandNode::flushBatches(FlushCause Cause) {
     if (J - I == 1)
       Records.push_back(std::move(AllCalls[I]));
     else
-      Records.push_back(encodeCallBatch(std::vector<std::vector<std::uint8_t>>(
-          std::make_move_iterator(AllCalls.begin() + I),
-          std::make_move_iterator(AllCalls.begin() + J))));
+      Records.push_back(encodeCallBatch(AllCalls.data() + I, J - I));
     I = J;
   }
 
   bool DropDeltas = DropDeltasForTest && !DeltaFrames.empty();
   unsigned Writes = static_cast<unsigned>(
-      (SlotGroups.size() + Records.size() + FullFrames.size() +
+      (SlotWrites.size() + Records.size() + FullFrames.size() +
        (DropDeltas ? 0 : DeltaFrames.size())) *
       activePeerCount());
   if (Writes == 0) {
     // Every record of this flush was a delta the drop hook swallowed:
     // complete locally without staging (recovery must not resurrect
     // dropped deltas -- the point of the hook is a durable gap).
-    for (SubmitCallback &D : Dones)
-      D(true, 0);
+    for (PendingCallPtr &P : Tally->Calls)
+      complete(std::move(P), true, 0);
     return;
   }
 
@@ -1690,7 +1695,7 @@ void HambandNode::flushBatches(FlushCause Cause) {
   // outgrew the backup slot degrades to staging its delta frame;
   // otherwise the flush goes unstaged (counted) and the gap a crash then
   // leaves heals through anti-entropy.
-  std::vector<std::uint8_t> Staged = encodeFlushImage(Img);
+  Bytes Staged = encodeFlushImage(Img);
   if (StageOk && Staged.size() + 11 <= Cfg.BackupSlotBytes)
     Broadcast->stage(ReliableBroadcast::Kind::FreeBatch, 0, Staged,
                      CurrentEpoch);
@@ -1709,16 +1714,14 @@ void HambandNode::flushBatches(FlushCause Cause) {
   if (Cfg.Batch.MaxCalls > 1)
     Fabric.chargeCpu(Self, M.ParseCpu, rdma::Transport::LaneClient);
 
-  auto Remaining = std::make_shared<unsigned>(Writes);
-  auto DonesP = std::make_shared<std::vector<SubmitCallback>>(
-      std::move(Dones));
-  auto Finish = [this, Remaining, DonesP](rdma::WcStatus) {
-    if (--*Remaining != 0)
+  Tally->Remaining = Writes;
+  auto Finish = [this, Tally](rdma::WcStatus) {
+    if (--Tally->Remaining != 0)
       return;
     Broadcast->clear();
     --FlushesInFlight;
-    for (SubmitCallback &D : *DonesP)
-      D(true, 0);
+    for (PendingCallPtr &P : Tally->Calls)
+      complete(std::move(P), true, 0);
     // The coalescing continuation: ship whatever accumulated meanwhile.
     if (BatchedPending > 0)
       flushBatches(BatchedPending >= Cfg.Batch.MaxCalls ? FlushCause::Size
@@ -1729,26 +1732,26 @@ void HambandNode::flushBatches(FlushCause Cause) {
   // free call's dependency array may reference applied counts that travel
   // with a summary image, and the per-lane FIFO fabric delivers writes in
   // post order.
-  for (std::size_t K = 0; K < SlotGroups.size(); ++K)
-    for (rdma::NodeId Peer = 0; Peer < N; ++Peer) {
-      if (Peer == Self || !activeNode(Peer))
-        continue;
-      Fabric.postWrite(Self, Peer, Map.summarySlot(SlotGroups[K], Self),
-                       SummarySlots[K], DataKey, Finish,
-                       rdma::Transport::LaneClient);
-    }
-  auto FinishOne = [Finish]() { Finish(rdma::WcStatus::Success); };
-  for (const std::vector<std::uint8_t> &FB : FullFrames)
-    postFrameToPeers(FB, FinishOne);
+  auto ToEveryPeer = [&](auto &&Post) {
+    for (rdma::NodeId Peer = 0; Peer < N; ++Peer)
+      if (Peer != Self && activeNode(Peer))
+        Post(Peer);
+  };
+  for (const auto &[G, Slot] : SlotWrites)
+    ToEveryPeer([&](rdma::NodeId Peer) {
+      Fabric.postWrite(Self, Peer, Map.summarySlot(G, Self), Slot, DataKey,
+                       Finish, rdma::Transport::LaneClient);
+    });
+  for (const Bytes &FB : FullFrames)
+    ToEveryPeer(
+        [&](rdma::NodeId Peer) { appendFreeOrdered(Peer, FB, Finish); });
   if (!DropDeltas)
-    for (const std::vector<std::uint8_t> &DF : DeltaFrames)
-      postFrameToPeers(DF, FinishOne);
-  for (const std::vector<std::uint8_t> &Rec : Records)
-    for (rdma::NodeId Peer = 0; Peer < N; ++Peer) {
-      if (Peer == Self || !activeNode(Peer))
-        continue;
-      appendFreeOrdered(Peer, Rec, Finish);
-    }
+    for (const Bytes &DF : DeltaFrames)
+      ToEveryPeer(
+          [&](rdma::NodeId Peer) { appendFreeOrdered(Peer, DF, Finish); });
+  for (const Bytes &Rec : Records)
+    ToEveryPeer(
+        [&](rdma::NodeId Peer) { appendFreeOrdered(Peer, Rec, Finish); });
 }
 
 // -- Failure handling --------------------------------------------------------
@@ -1792,7 +1795,7 @@ void HambandNode::onPeerSuspected(rdma::NodeId Peer) {
           continue;
         if (G < SummaryCache.size() &&
             SImg.Seq > SummarySeqSeen[G][Peer]) {
-          installFullImage(G, Peer, std::move(SImg));
+          installFullImage(G, Peer, SImg);
           ++NumRecovered;
           CtrRecovered->add();
         }
@@ -1913,11 +1916,11 @@ void HambandNode::absorbTransfer(const TransferImage &Img) {
        ++G) {
     for (rdma::NodeId Src = 0;
          Src < Fabric.numNodes() && Src < Img.Summaries[G].size(); ++Src) {
-      const auto &[Seq, Bytes] = Img.Summaries[G][Src];
-      if (Bytes.empty())
+      const auto &[Seq, Enc] = Img.Summaries[G][Src];
+      if (Enc.empty())
         continue;
       SummaryImage SImg;
-      if (!decodeSummary(Bytes.data(), Bytes.size(), SImg))
+      if (!decodeSummary(Enc.data(), Enc.size(), SImg))
         continue;
       SummaryCache[G][Src] = SImg.Summary;
       SummarySeqSeen[G][Src] = Seq;
@@ -1931,7 +1934,7 @@ void HambandNode::absorbTransfer(const TransferImage &Img) {
   // Replay the donor's irreducible log in its apply order; applied counts
   // came with the table above, so only the stored state (and the logs a
   // future transfer or oracle reads) advance here.
-  for (const std::vector<std::uint8_t> &Enc : Img.IrreducibleLog) {
+  for (const Bytes &Enc : Img.IrreducibleLog) {
     Call C;
     if (!decodeLoggedCall(Enc.data(), Enc.size(), C))
       continue;

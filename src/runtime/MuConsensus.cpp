@@ -13,11 +13,37 @@ using namespace hamband;
 using namespace hamband::runtime;
 
 namespace {
-/// Shared tally for one append's completions.
+/// One append's completions, shared by its follower writes: decides the
+/// commit once a majority succeeded or can no longer succeed.
 struct CommitTally {
+  unsigned NeededRemote = 0;
+  unsigned NumFollowers = 0;
   unsigned Successes = 0;
   unsigned Failures = 0;
   bool Decided = false;
+  obs::Counter *CtrCommit = nullptr;
+  MuConsensus::CommitFn Done;
+
+  void decide(bool Committed) {
+    Decided = true;
+    if (Committed && CtrCommit)
+      CtrCommit->add();
+    if (Done)
+      Done(Committed);
+  }
+
+  void onWrite(rdma::WcStatus St) {
+    if (St == rdma::WcStatus::Success)
+      ++Successes;
+    else
+      ++Failures;
+    if (Decided)
+      return;
+    if (Successes >= NeededRemote)
+      decide(true);
+    else if (Failures > NumFollowers - NeededRemote)
+      decide(false); // A majority can no longer complete: leadership lost.
+  }
 };
 } // namespace
 
@@ -120,23 +146,20 @@ bool MuConsensus::canAppend() const {
   return true;
 }
 
-bool MuConsensus::leaderAppend(const std::vector<std::uint8_t> &EntryBytes,
-                               std::function<void(bool)> OnCommitted) {
+bool MuConsensus::leaderAppend(const Bytes &EntryBytes,
+                               CommitFn &&OnCommitted) {
   if (!canAppend())
     return false;
-  if (CtrAppend) {
+  if (CtrAppend)
     CtrAppend->add();
-    OnCommitted = [C = CtrCommit, Inner = std::move(OnCommitted)](bool Ok) {
-      if (Ok)
-        C->add();
-      if (Inner)
-        Inner(Ok);
-    };
-  }
 
   unsigned Majority = activeCount() / 2 + 1;
+  auto Tally = std::make_shared<CommitTally>();
   // The leader's own log copy counts toward the majority.
-  unsigned NeededRemote = Majority > 0 ? Majority - 1 : 0;
+  Tally->NeededRemote = Majority > 0 ? Majority - 1 : 0;
+  Tally->NumFollowers = static_cast<unsigned>(Writers.size());
+  Tally->CtrCommit = CtrCommit;
+  Tally->Done = std::move(OnCommitted);
 
   LogCache[NextIndex] = EntryBytes;
   if (LogCache.size() > 8192) {
@@ -147,44 +170,16 @@ bool MuConsensus::leaderAppend(const std::vector<std::uint8_t> &EntryBytes,
     LogCache.erase(LogCache.begin(), LogCache.lower_bound(MinTail));
   }
 
-  auto Tally = std::make_shared<CommitTally>();
-  unsigned NumFollowers = static_cast<unsigned>(Writers.size());
-  auto Done = std::make_shared<std::function<void(bool)>>(
-      std::move(OnCommitted));
-  auto OnOne = [Tally, NeededRemote, NumFollowers,
-                Done](rdma::WcStatus St) {
-    if (St == rdma::WcStatus::Success)
-      ++Tally->Successes;
-    else
-      ++Tally->Failures;
-    if (Tally->Decided)
-      return;
-    if (Tally->Successes >= NeededRemote) {
-      Tally->Decided = true;
-      if (*Done)
-        (*Done)(true);
-      return;
-    }
-    if (Tally->Failures > NumFollowers - NeededRemote) {
-      // A majority can no longer complete: leadership was lost.
-      Tally->Decided = true;
-      if (*Done)
-        (*Done)(false);
-    }
-  };
-
   for (auto &[F, W] : Writers) {
-    bool Appended = W->append(EntryBytes, OnOne);
+    bool Appended = W->append(
+        EntryBytes, [Tally](rdma::WcStatus St) { Tally->onWrite(St); });
     assert(Appended && "ring fullness was checked above");
     (void)Appended;
   }
   ++NextIndex;
 
-  if (NeededRemote == 0 && !Tally->Decided) {
-    Tally->Decided = true;
-    if (*Done)
-      (*Done)(true);
-  }
+  if (Tally->NeededRemote == 0 && !Tally->Decided)
+    Tally->decide(true);
   return true;
 }
 
@@ -204,8 +199,11 @@ void MuConsensus::campaign() {
         obs::Span(*Obs, "mu.campaign_ns", Fabric.now());
   AckSeen.assign(Fabric.numNodes(), false);
   AckReceived.assign(Fabric.numNodes(), 0);
-  std::vector<std::uint8_t> Proposal(16, 0);
-  std::memcpy(Proposal.data(), &CampaignEpoch, 8);
+  ByteWriter W;
+  W.reserve(16);
+  W.u64(CampaignEpoch);
+  W.u64(0);
+  Bytes Proposal = W.take();
   // The proposal slot is this candidate's single-writer cell on each node.
   Fabric.memory(Self).write(Map.proposalSlot(Group, Self), Proposal.data(),
                             Proposal.size());
@@ -257,19 +255,20 @@ void MuConsensus::poll() {
     if (TheHooks.LeaderChanged)
       TheHooks.LeaderChanged(Leader);
     // Ack with our received count so the new leader can equalize logs.
-    std::vector<std::uint8_t> Ack(24, 0);
     std::uint64_t Received =
         TheHooks.ReceivedCount ? TheHooks.ReceivedCount() : 0;
-    std::uint64_t Flag = 1;
-    std::memcpy(Ack.data(), &Epoch, 8);
-    std::memcpy(Ack.data() + 8, &Received, 8);
-    std::memcpy(Ack.data() + 16, &Flag, 8);
+    ByteWriter W;
+    W.reserve(24);
+    W.u64(Epoch);
+    W.u64(Received);
+    W.u64(1); // Flag: the slot holds an ack.
+    Bytes Ack = W.take();
     if (Leader == Self)
       Fabric.memory(Self).write(Map.ackSlot(Group, Self), Ack.data(),
                                 Ack.size());
     else
-      Fabric.postWrite(Self, Leader, Map.ackSlot(Group, Self),
-                       std::move(Ack), rdma::UnprotectedRegion, nullptr,
+      Fabric.postWrite(Self, Leader, Map.ackSlot(Group, Self), Ack,
+                       rdma::UnprotectedRegion, nullptr,
                        rdma::Transport::LaneBackground);
   }
 
@@ -340,54 +339,50 @@ void MuConsensus::becomeLeaderAfterCatchUp(std::uint64_t MaxReceived,
   std::uint64_t Mine =
       TheHooks.ReceivedCount ? TheHooks.ReceivedCount() : 0;
   if (Mine >= MaxReceived) {
-    NextIndex = MaxReceived;
-    CatchingUp = false;
-    CampaignSpan.finish(Fabric.now());
-    replicateMissingToFollowers();
+    finishCatchUp(MaxReceived);
     return;
   }
   // Read the missing entries from the most advanced acker's ring. The
   // reads chain so that entries are delivered in order.
-  // Each in-flight read callback owns the chain closure; the closure holds
-  // only a weak_ptr to itself, so finishing the chain releases it.
-  auto FetchNext = std::make_shared<std::function<void(std::uint64_t)>>();
-  std::weak_ptr<std::function<void(std::uint64_t)>> WeakFetch = FetchNext;
-  *FetchNext = [this, MaxReceived, Holder,
-                WeakFetch](std::uint64_t Index) {
-    if (Index >= MaxReceived) {
-      NextIndex = MaxReceived;
-      CatchingUp = false;
-      CampaignSpan.finish(Fabric.now());
-      replicateMissingToFollowers();
-      return;
-    }
-    const RingGeometry G = Map.confGeom();
-    rdma::MemOffset CellOff =
-        Map.confRingData(Group) +
-        static_cast<rdma::MemOffset>(Index % G.NumCells) * G.CellSize;
-    auto Next = WeakFetch.lock();
-    Fabric.postRead(
-        Self, Holder, CellOff, G.CellSize,
-        [this, Index, Next, G](rdma::WcStatus,
-                               std::vector<std::uint8_t> Cell) {
-          std::uint32_t Len = 0;
-          std::uint64_t Seq = 0;
-          std::memcpy(&Len, Cell.data(), 4);
-          std::memcpy(&Seq, Cell.data() + 4, 8);
-          if (Seq == Index && Len <= G.maxPayload()) {
-            std::vector<std::uint8_t> Payload(
-                Cell.begin() + RingGeometry::HeaderBytes,
-                Cell.begin() + RingGeometry::HeaderBytes + Len);
-            LogCache[Index] = Payload;
-            if (TheHooks.DeliverEntry)
-              TheHooks.DeliverEntry(Index, std::move(Payload));
-          }
-          if (Next)
-            (*Next)(Index + 1);
-        },
-        rdma::Transport::LaneBackground);
-  };
-  (*FetchNext)(Mine);
+  fetchEntry(Mine, MaxReceived, Holder);
+}
+
+void MuConsensus::fetchEntry(std::uint64_t Index, std::uint64_t MaxReceived,
+                             rdma::NodeId Holder) {
+  if (Index >= MaxReceived) {
+    finishCatchUp(MaxReceived);
+    return;
+  }
+  const RingGeometry G = Map.confGeom();
+  rdma::MemOffset CellOff =
+      Map.confRingData(Group) +
+      static_cast<rdma::MemOffset>(Index % G.NumCells) * G.CellSize;
+  Fabric.postRead(
+      Self, Holder, CellOff, G.CellSize,
+      [this, Index, MaxReceived, Holder,
+       G](rdma::WcStatus, std::vector<std::uint8_t> Cell) {
+        std::uint32_t Len = 0;
+        std::uint64_t Seq = 0;
+        std::memcpy(&Len, Cell.data(), 4);
+        std::memcpy(&Seq, Cell.data() + 4, 8);
+        if (Seq == Index && Len <= G.maxPayload()) {
+          std::vector<std::uint8_t> Payload(
+              Cell.begin() + RingGeometry::HeaderBytes,
+              Cell.begin() + RingGeometry::HeaderBytes + Len);
+          LogCache[Index] = Payload;
+          if (TheHooks.DeliverEntry)
+            TheHooks.DeliverEntry(Index, std::move(Payload));
+        }
+        fetchEntry(Index + 1, MaxReceived, Holder);
+      },
+      rdma::Transport::LaneBackground);
+}
+
+void MuConsensus::finishCatchUp(std::uint64_t LogIndex) {
+  NextIndex = LogIndex;
+  CatchingUp = false;
+  CampaignSpan.finish(Fabric.now());
+  replicateMissingToFollowers();
 }
 
 void MuConsensus::replicateMissingToFollowers() {
@@ -400,13 +395,15 @@ void MuConsensus::replicateMissingToFollowers() {
     // Bring the follower up to NextIndex from the log cache or our own
     // ring copy (consumed cells keep their bytes).
     for (std::uint64_t I = AckReceived[V]; I < NextIndex; ++I) {
-      std::vector<std::uint8_t> Bytes;
       auto It = LogCache.find(I);
-      if (It != LogCache.end())
-        Bytes = It->second;
-      else if (!TheHooks.ReadLocalEntry || !TheHooks.ReadLocalEntry(I, Bytes))
+      if (It != LogCache.end()) {
+        W.append(It->second);
+        continue;
+      }
+      std::vector<std::uint8_t> Local;
+      if (!TheHooks.ReadLocalEntry || !TheHooks.ReadLocalEntry(I, Local))
         continue; // Overwritten; the follower stays behind (bounded lag).
-      W.append(Bytes, nullptr);
+      W.append(Local);
     }
   }
 }

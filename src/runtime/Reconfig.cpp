@@ -18,7 +18,7 @@ using namespace hamband::runtime;
 
 static constexpr std::uint32_t MembershipMagic = 0x4D454D42; // "BMEM"
 
-std::vector<std::uint8_t> runtime::encodeMembership(const Membership &M) {
+Bytes runtime::encodeMembership(const Membership &M) {
   ByteWriter W;
   W.u32(MembershipMagic);
   W.u32(M.Epoch);
@@ -43,8 +43,9 @@ bool runtime::decodeMembership(const std::uint8_t *Data, std::size_t Len,
   return R.ok();
 }
 
-std::vector<std::uint8_t> runtime::encodeLoggedCall(const Call &C) {
+Bytes runtime::encodeLoggedCall(const Call &C) {
   ByteWriter W;
+  W.reserve(16 + 8 * C.Args.size());
   W.u16(C.Method);
   W.u16(static_cast<std::uint16_t>(C.Args.size()));
   W.u32(C.Issuer);
@@ -69,8 +70,7 @@ bool runtime::decodeLoggedCall(const std::uint8_t *Data, std::size_t Len,
   return R.ok();
 }
 
-std::vector<std::uint8_t>
-runtime::encodeTransferImage(const TransferImage &Img) {
+Bytes runtime::encodeTransferImage(const TransferImage &Img) {
   ByteWriter W;
   W.u32(Img.Epoch);
   W.u32(static_cast<std::uint32_t>(Img.Applied.size()));
@@ -85,11 +85,10 @@ runtime::encodeTransferImage(const TransferImage &Img) {
   W.u32(static_cast<std::uint32_t>(Img.Summaries.size()));
   for (const auto &PerSrc : Img.Summaries) {
     W.u32(static_cast<std::uint32_t>(PerSrc.size()));
-    for (const auto &[Seq, Bytes] : PerSrc) {
+    for (const auto &[Seq, Enc] : PerSrc) {
       W.u64(Seq);
-      W.u32(static_cast<std::uint32_t>(Bytes.size()));
-      for (std::uint8_t B : Bytes)
-        W.u8(B);
+      W.u32(static_cast<std::uint32_t>(Enc.size()));
+      W.bytes(Enc);
     }
   }
   W.u32(static_cast<std::uint32_t>(Img.ConfNextIndex.size()));
@@ -98,8 +97,7 @@ runtime::encodeTransferImage(const TransferImage &Img) {
   W.u32(static_cast<std::uint32_t>(Img.IrreducibleLog.size()));
   for (const auto &Entry : Img.IrreducibleLog) {
     W.u32(static_cast<std::uint32_t>(Entry.size()));
-    for (std::uint8_t B : Entry)
-      W.u8(B);
+    W.bytes(Entry);
   }
   return W.take();
 }
@@ -129,14 +127,12 @@ bool runtime::decodeTransferImage(const std::uint8_t *Data, std::size_t Len,
     if (!R.ok() || Srcs > R.remaining() / 12 + 1)
       return false;
     PerSrc.resize(Srcs);
-    for (auto &[Seq, Bytes] : PerSrc) {
+    for (auto &[Seq, Enc] : PerSrc) {
       Seq = R.u64();
       std::uint32_t BLen = R.u32();
       if (!R.ok() || BLen > R.remaining())
         return false;
-      Bytes.resize(BLen);
-      for (std::uint32_t I = 0; I < BLen; ++I)
-        Bytes[I] = R.u8();
+      Enc = R.bytes(BLen);
     }
   }
   std::uint32_t NConf = R.u32();
@@ -154,10 +150,7 @@ bool runtime::decodeTransferImage(const std::uint8_t *Data, std::size_t Len,
     std::uint32_t ELen = R.u32();
     if (!R.ok() || ELen > R.remaining())
       return false;
-    std::vector<std::uint8_t> Entry(ELen);
-    for (std::uint32_t J = 0; J < ELen; ++J)
-      Entry[J] = R.u8();
-    Out.IrreducibleLog.push_back(std::move(Entry));
+    Out.IrreducibleLog.push_back(R.bytes(ELen));
   }
   return R.ok();
 }
@@ -227,7 +220,7 @@ bool ReconfigManager::start(std::vector<std::uint8_t> TargetActive,
   NewKey = C.transport().createRegionKey();
   Coord = currentMembers().front();
   ConfNext.assign(C.numSyncGroups(), 0);
-  TransferBytes.clear();
+  TransferBytes = Bytes();
   TransferOffset = 0;
   TransferKicked = false;
   TransferDone.store(false, std::memory_order_release);
@@ -325,7 +318,7 @@ void ReconfigManager::tick() {
   case StInstall: {
     bool Settled =
         dispatchAndSettled(unionMembers(), [this](rdma::NodeId T) {
-          std::vector<std::uint8_t> Rec = encodeMembership(Target);
+          Bytes Rec = encodeMembership(Target);
           assert(Rec.size() <= MemoryMap::MembershipSlotBytes);
           if (T == Coord) {
             // The coordinator's own record is a local write.

@@ -23,8 +23,7 @@ void ReliableBroadcast::attachStats(obs::Registry &R) {
   CtrFetch = &R.counter("bcast.fetch");
 }
 
-void ReliableBroadcast::stage(Kind K, std::uint8_t Aux,
-                              const std::vector<std::uint8_t> &Payload,
+void ReliableBroadcast::stage(Kind K, std::uint8_t Aux, const Bytes &Payload,
                               std::uint32_t Epoch) {
   assert(Payload.size() + 11 <= SlotBytes && "backup slot too small");
   rdma::MemoryRegion &Mem = Fabric.memory(Self);

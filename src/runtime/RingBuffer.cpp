@@ -52,14 +52,14 @@ bool RingWriter::canReserve(std::uint32_t Cells) const {
   return Tail + Pad + Cells - KnownHead <= Geom.NumCells;
 }
 
-bool RingWriter::append(const std::vector<std::uint8_t> &Payload,
-                        rdma::CompletionFn OnComplete) {
+bool RingWriter::append(const Bytes &Payload,
+                        rdma::CompletionFn &&OnComplete) {
   assert(Payload.size() <= Geom.maxPayload() && "payload exceeds cell size");
   return appendRecord(Payload, std::move(OnComplete));
 }
 
-bool RingWriter::appendRecord(const std::vector<std::uint8_t> &Payload,
-                              rdma::CompletionFn OnComplete) {
+bool RingWriter::appendRecord(const Bytes &Payload,
+                              rdma::CompletionFn &&OnComplete) {
   assert(Payload.size() <= Geom.maxRecordPayload() &&
          "payload exceeds ring span capacity");
   std::uint32_t Span = Geom.cellsFor(Payload.size());
@@ -77,16 +77,16 @@ bool RingWriter::appendRecord(const std::vector<std::uint8_t> &Payload,
     // FIFO ordering delivers pad before record, and the reader's canary
     // retry tolerates the gap between the two writes.
     std::uint32_t PadCells = Geom.NumCells - Pos;
-    std::vector<std::uint8_t> Pad(
-        static_cast<std::size_t>(PadCells) * Geom.CellSize, 0);
-    std::uint32_t Sentinel = RingGeometry::PadLen;
-    std::memcpy(Pad.data(), &Sentinel, 4);
-    std::memcpy(Pad.data() + 4, &Tail, 8);
-    Pad[Pad.size() - 1] = 1; // Canary: the pad is complete.
+    std::size_t PadBytes = static_cast<std::size_t>(PadCells) * Geom.CellSize;
+    ByteWriter Pad;
+    Pad.reserve(PadBytes);
+    Pad.u32(RingGeometry::PadLen);
+    Pad.u64(Tail);
+    Pad.zeros(PadBytes - RingGeometry::HeaderBytes - 1);
+    Pad.u8(1); // Canary: the pad is complete.
     rdma::MemOffset PadOff =
         DataOff + static_cast<rdma::MemOffset>(Pos) * Geom.CellSize;
-    Fabric.postWrite(Writer, Reader, PadOff, std::move(Pad), Key, nullptr,
-                     Lane);
+    Fabric.postWrite(Writer, Reader, PadOff, Pad.take(), Key, nullptr, Lane);
     if (CtrPadCells)
       CtrPadCells->add(PadCells);
     Tail += PadCells;
@@ -106,18 +106,18 @@ bool RingWriter::appendRecord(const std::vector<std::uint8_t> &Payload,
   // Build the whole record -- header, payload, one trailing canary at the
   // end of the span -- and ship it with ONE RDMA write: a single doorbell
   // however many cells (and batched calls) it covers.
-  std::vector<std::uint8_t> Record(
-      static_cast<std::size_t>(Span) * Geom.CellSize, 0);
-  std::uint32_t Len = static_cast<std::uint32_t>(Payload.size());
-  std::memcpy(Record.data(), &Len, 4);
-  std::memcpy(Record.data() + 4, &Tail, 8);
-  std::memcpy(Record.data() + RingGeometry::HeaderBytes, Payload.data(),
-              Payload.size());
-  Record[Record.size() - 1] = 1; // Canary: the record is complete.
+  std::size_t RecBytes = static_cast<std::size_t>(Span) * Geom.CellSize;
+  ByteWriter Record;
+  Record.reserve(RecBytes);
+  Record.u32(static_cast<std::uint32_t>(Payload.size()));
+  Record.u64(Tail);
+  Record.bytes(Payload);
+  Record.zeros(RecBytes - RingGeometry::HeaderBytes - Payload.size() - 1);
+  Record.u8(1); // Canary: the record is complete.
 
   rdma::MemOffset RecOff =
       DataOff + static_cast<rdma::MemOffset>(Pos) * Geom.CellSize;
-  Fabric.postWrite(Writer, Reader, RecOff, std::move(Record), Key,
+  Fabric.postWrite(Writer, Reader, RecOff, Record.take(), Key,
                    std::move(OnComplete), Lane);
   Tail += Span;
   return true;
@@ -151,7 +151,9 @@ bool RingReader::readCell(std::uint64_t Index,
       CtrCanaryRetry->add();
     return false;
   }
-  Out = Mem.slice(CellOff + RingGeometry::HeaderBytes, Len);
+  Out.resize(Len);
+  if (Len)
+    Mem.read(CellOff + RingGeometry::HeaderBytes, Out.data(), Len);
   return true;
 }
 
@@ -169,20 +171,25 @@ bool RingReader::readCellIgnoringCanary(std::uint64_t Index,
   std::memcpy(&Seq, Header + 4, 8);
   if (Seq != Index || Len > Geom.maxPayload())
     return false;
-  Out = Mem.slice(CellOff + RingGeometry::HeaderBytes, Len);
+  Out.resize(Len);
+  if (Len)
+    Mem.read(CellOff + RingGeometry::HeaderBytes, Out.data(), Len);
   return true;
 }
 
-void RingReader::forceFeedback() {
-  std::vector<std::uint8_t> Bytes(8);
-  std::memcpy(Bytes.data(), &Head, 8);
-  Fabric.postWrite(Reader, Writer, FeedbackOff, std::move(Bytes),
+void RingReader::forceFeedback() { postFeedback(); }
+
+void RingReader::postFeedback() {
+  ByteWriter W;
+  W.reserve(8);
+  W.u64(Head);
+  Fabric.postWrite(Reader, Writer, FeedbackOff, W.take(),
                    rdma::UnprotectedRegion, nullptr, Lane);
   LastFeedback = Head;
 }
 
 bool RingReader::readRecordAt(std::uint64_t Index,
-                              std::vector<std::uint8_t> &Out,
+                              std::vector<std::uint8_t> *Out,
                               std::uint32_t &SpanCells, bool &IsPad) const {
   const rdma::MemoryRegion &Mem = Fabric.memory(Reader);
   std::uint32_t Pos = static_cast<std::uint32_t>(Index % Geom.NumCells);
@@ -237,17 +244,18 @@ bool RingReader::readRecordAt(std::uint64_t Index,
     return false;
   }
   SpanCells = Span;
-  if (IsPad)
-    Out.clear();
-  else
-    Out = Mem.slice(CellOff + RingGeometry::HeaderBytes, Len);
+  if (Out) {
+    Out->resize(IsPad ? 0 : Len);
+    if (!IsPad && Len)
+      Mem.read(CellOff + RingGeometry::HeaderBytes, Out->data(), Len);
+  }
   return true;
 }
 
 bool RingReader::peek(std::vector<std::uint8_t> &Out) {
   std::uint32_t Span = 1;
   bool IsPad = false;
-  while (readRecordAt(Head, Out, Span, IsPad)) {
+  while (readRecordAt(Head, &Out, Span, IsPad)) {
     if (!IsPad)
       return true;
     // A complete wrap pad: swallow it so callers only see real records.
@@ -259,10 +267,9 @@ bool RingReader::peek(std::vector<std::uint8_t> &Out) {
 }
 
 void RingReader::consume() {
-  std::vector<std::uint8_t> Out;
   std::uint32_t Span = 1;
   bool IsPad = false;
-  bool Ok = readRecordAt(Head, Out, Span, IsPad);
+  bool Ok = readRecordAt(Head, nullptr, Span, IsPad);
   assert(Ok && !IsPad && "consume without a successful peek");
   (void)Ok;
   consumeSpan(Span);
@@ -297,11 +304,6 @@ void RingReader::consumeSpan(std::uint32_t SpanCells) {
   Head += SpanCells;
   // Publish the head to the writer once per quarter ring so it can reuse
   // cells without ever overwriting unconsumed ones.
-  if (Head - LastFeedback >= Geom.NumCells / 4) {
-    std::vector<std::uint8_t> Bytes(8);
-    std::memcpy(Bytes.data(), &Head, 8);
-    Fabric.postWrite(Reader, Writer, FeedbackOff, std::move(Bytes),
-                     rdma::UnprotectedRegion, nullptr, Lane);
-    LastFeedback = Head;
-  }
+  if (Head - LastFeedback >= Geom.NumCells / 4)
+    postFeedback();
 }

@@ -65,7 +65,7 @@ void ShardedCluster::build(rdma::NetworkModel Model) {
   (void)Model;
   FailedNode.assign(NumNodes, false);
   FailedShard.assign(KS.numShards(), std::vector<bool>(NumNodes, false));
-  PerOrigin = std::make_unique<OriginCounts[]>(NumNodes);
+  PerOrigin = std::make_unique<OutstandingCalls[]>(NumNodes);
   Trans->setObs(ClusterStats);
   CtrUnknownKey = &ClusterStats.counter("keyspace.unknown_key");
   GaugeImbalance = &ClusterStats.gauge("shard.imbalance");
@@ -122,7 +122,7 @@ void ShardedCluster::start() {
     });
 }
 
-void ShardedCluster::submit(rdma::NodeId Origin, const Call &C,
+void ShardedCluster::submit(rdma::NodeId Origin, Call C,
                             SubmitCallback Done) {
   assert(Origin < NumNodes);
   Value Key = KeyedObjectType::callKey(C);
@@ -134,14 +134,13 @@ void ShardedCluster::submit(rdma::NodeId Origin, const Call &C,
   }
   unsigned S = KS.shardOfKey(Key);
   CtrShardSubmitted[S]->add();
-  PerOrigin[Origin].Calls.fetch_add(1, std::memory_order_acq_rel);
-  Trans->callOn(Origin, [this, S, Origin, C, Done = std::move(Done)]() {
-    Nodes[S][Origin]->submit(
-        C, [this, Origin, Done = std::move(Done)](bool Ok, Value V) {
-          PerOrigin[Origin].Calls.fetch_sub(1, std::memory_order_acq_rel);
-          if (Done)
-            Done(Ok, V);
-        });
+  OutstandingCalls &Counts = PerOrigin[Origin];
+  Counts.Calls.fetch_add(1, std::memory_order_acq_rel);
+  // The origin node decrements the count when it completes the call.
+  auto P = std::make_unique<PendingCall>(std::move(C), std::move(Done),
+                                         &Counts);
+  Trans->callOn(Origin, [this, S, Origin, P = std::move(P)]() mutable {
+    Nodes[S][Origin]->submit(std::move(P));
   });
 }
 

@@ -14,21 +14,6 @@ using namespace hamband::runtime;
 using hamband::semantics::DepEntry;
 using hamband::semantics::DepMap;
 
-void ByteWriter::u16(std::uint16_t V) {
-  u8(static_cast<std::uint8_t>(V));
-  u8(static_cast<std::uint8_t>(V >> 8));
-}
-
-void ByteWriter::u32(std::uint32_t V) {
-  for (int I = 0; I < 4; ++I)
-    u8(static_cast<std::uint8_t>(V >> (8 * I)));
-}
-
-void ByteWriter::u64(std::uint64_t V) {
-  for (int I = 0; I < 8; ++I)
-    u8(static_cast<std::uint8_t>(V >> (8 * I)));
-}
-
 bool ByteReader::take(std::size_t N) {
   if (Failed || Pos + N > Len) {
     Failed = true;
@@ -41,6 +26,14 @@ std::uint8_t ByteReader::u8() {
   if (!take(1))
     return 0;
   return Data[Pos++];
+}
+
+Bytes ByteReader::bytes(std::size_t N) {
+  if (!take(N))
+    return Bytes();
+  Bytes Out(Data + Pos, N);
+  Pos += N;
+  return Out;
 }
 
 std::uint16_t ByteReader::u16() {
@@ -83,11 +76,13 @@ std::vector<std::uint64_t> runtime::denseDeps(const CoordinationSpec &Spec,
   return Block;
 }
 
-std::vector<std::uint8_t> runtime::encodeCall(const CoordinationSpec &Spec,
-                                              unsigned NumProcesses,
-                                              const WireCall &WC) {
-  ByteWriter W;
+Bytes runtime::encodeCall(const CoordinationSpec &Spec, unsigned NumProcesses,
+                          const WireCall &WC) {
   const Call &C = WC.TheCall;
+  ByteWriter W;
+  W.reserve(28 + 8 * C.Args.size() +
+            8 * static_cast<std::size_t>(NumProcesses) *
+                Spec.dependencies(C.Method).size());
   W.u16(C.Method);
   W.u16(static_cast<std::uint16_t>(C.Args.size()));
   W.u32(C.Issuer);
@@ -101,8 +96,9 @@ std::vector<std::uint8_t> runtime::encodeCall(const CoordinationSpec &Spec,
   return W.take();
 }
 
-std::vector<std::uint8_t> runtime::encodeMail(const MailMsg &Msg) {
+Bytes runtime::encodeMail(const MailMsg &Msg) {
   ByteWriter W;
+  W.reserve(30 + 8 * Msg.TheCall.Args.size());
   W.u8(static_cast<std::uint8_t>(Msg.Kind));
   W.u32(Msg.Origin);
   W.u64(Msg.ReqId);
@@ -135,8 +131,9 @@ bool runtime::decodeMail(const std::uint8_t *Data, std::size_t Len,
   return R.ok();
 }
 
-std::vector<std::uint8_t> runtime::encodeSummary(const SummaryImage &Img) {
+Bytes runtime::encodeSummary(const SummaryImage &Img) {
   ByteWriter W;
+  W.reserve(26 + 8 * Img.Summary.Args.size() + 10 * Img.AppliedCounts.size());
   W.u64(Img.Seq);
   W.u16(Img.Summary.Method);
   W.u16(static_cast<std::uint16_t>(Img.Summary.Args.size()));
@@ -181,17 +178,19 @@ bool runtime::isCallBatch(const std::uint8_t *Data, std::size_t Len) {
   return Marker == CallBatchMarker;
 }
 
-std::vector<std::uint8_t> runtime::encodeCallBatch(
-    const std::vector<std::vector<std::uint8_t>> &EncodedCalls) {
-  assert(!EncodedCalls.empty() && "empty batch");
-  assert(EncodedCalls.size() <= 0xFFFF && "batch count exceeds u16");
+Bytes runtime::encodeCallBatch(const Bytes *EncodedCalls, std::size_t Count) {
+  assert(Count > 0 && "empty batch");
+  assert(Count <= 0xFFFF && "batch count exceeds u16");
+  std::size_t Size = 4;
+  for (std::size_t I = 0; I < Count; ++I)
+    Size += 4 + EncodedCalls[I].size();
   ByteWriter W;
+  W.reserve(Size);
   W.u16(CallBatchMarker);
-  W.u16(static_cast<std::uint16_t>(EncodedCalls.size()));
-  for (const std::vector<std::uint8_t> &Bytes : EncodedCalls) {
-    W.u32(static_cast<std::uint32_t>(Bytes.size()));
-    for (std::uint8_t B : Bytes)
-      W.u8(B);
+  W.u16(static_cast<std::uint16_t>(Count));
+  for (std::size_t I = 0; I < Count; ++I) {
+    W.u32(static_cast<std::uint32_t>(EncodedCalls[I].size()));
+    W.bytes(EncodedCalls[I]);
   }
   return W.take();
 }
@@ -231,9 +230,9 @@ bool runtime::isSummaryDelta(const std::uint8_t *Data, std::size_t Len) {
   return Marker == SummaryDeltaMarker;
 }
 
-std::vector<std::uint8_t>
-runtime::encodeSummaryDelta(const SummaryDeltaFrame &F) {
+Bytes runtime::encodeSummaryDelta(const SummaryDeltaFrame &F) {
   ByteWriter W;
+  W.reserve(SummaryDeltaHeaderBytes + F.Image.size());
   W.u16(SummaryDeltaMarker);
   W.u8(F.Group);
   W.u8(F.Full);
@@ -243,8 +242,7 @@ runtime::encodeSummaryDelta(const SummaryDeltaFrame &F) {
   W.u64(F.ToSeq);
   W.u32(F.Epoch);
   W.u32(static_cast<std::uint32_t>(F.Image.size()));
-  for (std::uint8_t B : F.Image)
-    W.u8(B);
+  W.bytes(F.Image);
   return W.take();
 }
 
@@ -266,11 +264,11 @@ bool runtime::decodeSummaryDelta(const std::uint8_t *Data, std::size_t Len,
   if (!R.ok() || Header + ImgLen > Len || Out.ChunkCount == 0 ||
       Out.ChunkIdx >= Out.ChunkCount)
     return false;
-  Out.Image.assign(Data + Header, Data + Header + ImgLen);
+  Out.Image = Bytes(Data + Header, ImgLen);
   return true;
 }
 
-std::vector<std::uint8_t> runtime::encodeFlushImage(const FlushImage &Img) {
+Bytes runtime::encodeFlushImage(const FlushImage &Img) {
   assert(Img.Summaries.size() <= 0xFF && "too many summary groups");
   std::size_t Size = 1 + 4 + Img.FreeRecord.size();
   for (const auto &[Group, Bytes] : Img.Summaries)
@@ -291,7 +289,7 @@ std::vector<std::uint8_t> runtime::encodeFlushImage(const FlushImage &Img) {
 bool runtime::decodeFlushImage(const std::uint8_t *Data, std::size_t Len,
                                FlushImage &Out) {
   Out.Summaries.clear();
-  Out.FreeRecord.clear();
+  Out.FreeRecord = Bytes();
   ByteReader R(Data, Len);
   std::uint8_t K = R.u8();
   std::size_t Pos = 1;
@@ -301,8 +299,7 @@ bool runtime::decodeFlushImage(const std::uint8_t *Data, std::size_t Len,
     Pos += 5;
     if (!R.ok() || Pos + InnerLen > Len)
       return false;
-    Out.Summaries.emplace_back(
-        Group, std::vector<std::uint8_t>(Data + Pos, Data + Pos + InnerLen));
+    Out.Summaries.emplace_back(Group, Bytes(Data + Pos, InnerLen));
     for (std::uint32_t J = 0; J < InnerLen; ++J)
       (void)R.u8();
     Pos += InnerLen;
@@ -311,7 +308,7 @@ bool runtime::decodeFlushImage(const std::uint8_t *Data, std::size_t Len,
   Pos += 4;
   if (!R.ok() || Pos + FreeLen > Len)
     return false;
-  Out.FreeRecord.assign(Data + Pos, Data + Pos + FreeLen);
+  Out.FreeRecord = Bytes(Data + Pos, FreeLen);
   return true;
 }
 
@@ -334,6 +331,8 @@ bool runtime::decodeCall(const CoordinationSpec &Spec,
   const std::vector<MethodId> &DepMethods =
       Spec.dependencies(Out.TheCall.Method);
   Out.Deps.clear();
+  Out.Deps.reserve(static_cast<std::size_t>(NumProcesses) *
+                   DepMethods.size());
   for (ProcessId P = 0; P < NumProcesses; ++P) {
     for (MethodId U : DepMethods) {
       std::uint64_t N = R.u64();

@@ -31,11 +31,11 @@ const char *hamband::sim::eventKindName(EventKind K) {
   return "?";
 }
 
-EventId EventQueue::push(SimTime At, EventLabel Label,
-                         std::function<void()> Fn) {
+EventId EventQueue::push(SimTime At, EventLabel Label, EventFn Fn,
+                         const bool *Guard) {
   EventId Id = NextId++;
   Buckets[At].push_back(Id);
-  Payloads.emplace(Id, Payload{std::move(Fn), Label});
+  Payloads.emplace(Id, Payload{std::move(Fn), Label, Guard});
   ++LiveCount;
   return Id;
 }
@@ -82,6 +82,7 @@ bool EventQueue::popNth(std::size_t N, Event &Out) {
   Out.Id = Id;
   Out.Label = It->second.Label;
   Out.Fn = std::move(It->second.Fn);
+  Out.Guard = It->second.Guard;
   Payloads.erase(It);
   if (Front.empty())
     Buckets.erase(Bucket);

@@ -31,7 +31,8 @@ bool Simulator::runOne() {
   ++Executed;
   if (Observer)
     Observer(Ev.Label);
-  Ev.Fn();
+  if (!Ev.Guard || *Ev.Guard)
+    Ev.Fn();
   return true;
 }
 

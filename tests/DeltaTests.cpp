@@ -709,25 +709,26 @@ TEST(SummarySlotOverflow, ConcurrentChunkStreamsStayFIFOUnderRingPressure) {
   // successive flushes of the SAME source genuinely overlap.
   const unsigned TotalOps = 24, Depth = 8;
   unsigned Issued = 0, Done = 0;
-  auto Issue = std::make_shared<std::function<void(unsigned)>>();
-  *Issue = [&, Issue](unsigned Node) {
+  // Reached by reference: events still queued when the test ends are
+  // destroyed unrun.
+  std::function<void(unsigned)> Issue = [&](unsigned Node) {
     if (Issued >= TotalOps)
       return;
     unsigned I = Issued++;
     C.submit(static_cast<ProcessId>(Node),
              Call(Add, {static_cast<Value>(200000 + I)},
                   static_cast<ProcessId>(Node), 1000 + I),
-             [&, Issue, Node](bool Ok, Value) {
+             [&, Node](bool Ok, Value) {
                EXPECT_TRUE(Ok);
                ++Done;
-               (*Issue)(Node);
+               Issue(Node);
              });
   };
   // Staggered pipeline priming, as the bench runner does.
   for (unsigned N = 0; N < Nodes; ++N)
     for (unsigned D = 0; D < Depth; ++D)
       Sim.schedule(sim::nanos(10) * (N * Depth + D + 1),
-                   [Issue, N]() { (*Issue)(N); });
+                   [&Issue, N]() { Issue(N); });
 
   ASSERT_TRUE(runUntil(Sim, [&] {
     return Done == TotalOps && C.fullyReplicated();

@@ -26,7 +26,9 @@
 // default is "sim". Sections appear in table order. --ops replaces the op
 // count of every unpinned row (default: each row's own; the gated rows
 // run 6000), --smoke caps unpinned rows at 600 calls and shrinks the
-// keyspace and big-state sweeps, --reps averages repetitions per row.
+// keyspace and big-state sweeps, --reps averages repetitions per row. The
+// shm rows instead run a pinned five episodes each and report the median
+// throughput with the episodes' min and max.
 //
 // Every row runs through one loop -- run, percentiles, pointToJson -- and
 // a few sections post-process their rows' results:
@@ -158,6 +160,12 @@ json::Value pointToJson(const FigureRow &Row, const PointReport &P) {
   O.add("percentile_source", str(P.Source));
   O.add("completed_ops", count(P.R.CompletedOps));
   O.add("completed", json::Value::makeBool(P.R.Completed));
+  if (P.R.Episodes > 1) {
+    // A median of repeated episodes: throughput_ops_us is the median.
+    O.add("episodes", count(P.R.Episodes));
+    O.add("throughput_min_ops_us", num(P.R.MinThroughputOpsPerUs));
+    O.add("throughput_max_ops_us", num(P.R.MaxThroughputOpsPerUs));
+  }
   return O;
 }
 
