@@ -88,17 +88,8 @@ public:
                          Call &Out) const;
 
   // -- Delta-state propagation (docs/deltas.md) ---------------------------
-
-  /// Joins a delta summary into a base summary: the runtime's delta-state
-  /// propagation ships the fold of the calls issued since the last shipped
-  /// image (\p Delta) instead of the whole folded summary, and the
-  /// receiver rebuilds the full image as join(\p Base, \p Delta). Because
-  /// every summarization group's fold is the group's join (Summarize's
-  /// contract Out(σ) == Second(First(σ)) plus commutativity of reducible
-  /// calls), the default simply delegates to summarize(). Returns false
-  /// when the calls are not joinable (different groups).
-  virtual bool applyDelta(const Call &Base, const Call &Delta,
-                          Call &Out) const;
+  // summarize() is every summarization group's join, so a receiver joins
+  // a delta summary into its image with summarize() too.
 
   /// Whether a summary call of method \p M decomposes element-wise: its
   /// argument vector is a set whose any partition, re-folded through
@@ -109,11 +100,11 @@ public:
 
   /// Join-decomposition of a summary call into irredundant chunks of at
   /// most \p MaxArgsPerChunk arguments each; folding the chunks in order
-  /// through summarize() must reproduce \p Summary exactly. The default
-  /// splits the argument vector when summaryArgsDecomposable() allows it
-  /// and otherwise returns the summary whole.
-  virtual std::vector<Call> decomposeSummary(const Call &Summary,
-                                             std::size_t MaxArgsPerChunk) const;
+  /// through summarize() must reproduce \p Summary exactly. Splits the
+  /// argument vector when summaryArgsDecomposable() allows it and
+  /// otherwise returns the summary whole.
+  std::vector<Call> decomposeSummary(const Call &Summary,
+                                     std::size_t MaxArgsPerChunk) const;
 
   /// Whether two calls can ever be issued *concurrently* at two replicas.
   /// The conflict relation only matters for concurrent pairs: a pair that

@@ -319,20 +319,21 @@ public:
   /// Test/bench hook: installs \p Summary as the cached image of
   /// (\p Group, \p Src) at version \p Seq, as if \p Src had shipped it and
   /// this node applied it -- including the applied-count row, so seeded
-  /// clusters still satisfy the applied-table equality oracles. When
-  /// \p Src is this node, the own-summary fold state and the delta ship
-  /// cursor advance too. Callers must seed all nodes identically (see
-  /// HambandCluster::seedReducibleState) and only while the world is
-  /// paused/quiescent.
+  /// clusters still satisfy the applied-table equality oracles. With
+  /// \p Src this node it seeds the own summary. Callers must seed all
+  /// nodes identically (see HambandCluster::seedReducibleState) and only
+  /// while the world is paused/quiescent.
   void seedSummary(unsigned Group, ProcessId Src, const Call &Summary,
                    std::uint64_t Seq);
 
   /// Delta-frame introspection for tests: frames buffered out-of-order
   /// for (\p Group, \p Src) and the version this node has seen from
-  /// \p Src in \p Group.
-  std::size_t bufferedDeltaFrames(unsigned Group, ProcessId Src) const;
+  /// \p Src in \p Group (its own version when \p Src is this node).
+  std::size_t bufferedDeltaFrames(unsigned Group, ProcessId Src) const {
+    return Summaries[Group][Src].Buffered.size();
+  }
   std::uint64_t summarySeqSeen(unsigned Group, ProcessId Src) const {
-    return SummarySeqSeen[Group][Src];
+    return Summaries[Group][Src].Seq;
   }
 
   // -- Membership reconfiguration (docs/reconfig.md) ----------------------
@@ -442,8 +443,8 @@ private:
                    PendingCallPtr Local);
   /// Encodes a conflicting-call request for the leader's mailbox.
   Bytes encodeConfRequest(const Call &C) const;
-  /// Appends \p Record to the mailbox ring to \p Peer, retrying while the
-  /// ring is full.
+  /// Appends \p Record to the mailbox ring to \p Peer (queued in order
+  /// while the ring is full).
   void mailTo(rdma::NodeId Peer, Bytes Record);
   /// Re-sends timed-out redirected calls to the (possibly new) leader.
   void checkConfTimeouts();
@@ -475,7 +476,7 @@ private:
   void enqueueDecodedFree(ProcessId Issuer, std::vector<WireCall> Calls);
 
   // Batching (docs/batching.md).
-  /// Why a flush fired (obs counter selection).
+  /// Why a flush fired (indexes CtrFlush).
   enum class FlushCause : std::uint8_t { Pipe, Size, Timeout, Conf };
   /// Bookkeeping after a call is enqueued into a batch: counts it,
   /// applies the size trigger, arms the timeout backstop, or flushes
@@ -506,19 +507,6 @@ private:
   /// BEFORE folding, so an unshippable call is rejected (Done(false))
   /// without mutating any replicated state.
   bool fullImageShippable(const Call &Summary, std::size_t NumCounts) const;
-  /// Enqueues one F-ring record for \p Peer and drains the per-peer
-  /// outbound queue strictly head-first. Both the chunk-reassembly rules
-  /// and the FreeSeqNext dedup cursor assume the F-ring is FIFO per
-  /// source, so a full ring must STALL the stream, never reorder it:
-  /// independent per-record retries would let a retried chunk of one
-  /// image land after a later image's chunks, wedging reassembly.
-  void appendFreeOrdered(rdma::NodeId Peer, const Bytes &Record,
-                         rdma::CompletionFn Done);
-  /// Appends queued records for \p Peer until the ring fills; re-arms a
-  /// retry timer while records remain.
-  void drainFreeOutbound(rdma::NodeId Peer);
-  /// Arms the retry timer of \p Peer's queue unless it is empty or armed.
-  void armFreeOutbound(rdma::NodeId Peer);
   /// Encodes group \p G's image \p Img as Full=1 chunk frames (element-
   /// wise decomposition when the type supports it).
   std::vector<Bytes> encodeFullFrames(unsigned G,
@@ -569,26 +557,27 @@ private:
   /// groupMethods() per summarization group.
   std::vector<std::vector<MethodId>> GroupMethods;
 
-  // Summaries: cached deserialized images per (sum group, source).
-  std::vector<std::vector<std::optional<Call>>> SummaryCache;
-  std::vector<std::vector<std::uint64_t>> SummarySeqSeen;
-  /// This node's own folded summary and outgoing sequence per group.
-  std::vector<std::optional<Call>> OwnSummary;
-  std::vector<std::uint64_t> OwnSummarySeq;
+  /// What this node holds of one source's summary in one summarization
+  /// group. The Self row is this node's own summary, which handleReduce
+  /// folds into; the other rows are peers' images as last installed.
+  struct SummaryRow {
+    std::optional<Call> Image;
+    /// The image's version: calls folded at the source.
+    std::uint64_t Seq = 0;
+    /// Out-of-order delta frames parked until the version gap closes.
+    std::deque<SummaryDeltaFrame> Buffered;
+    /// A partial chunked full image: its version and the chunks so far.
+    std::uint64_t AssemblySeq = 0;
+    std::vector<std::optional<SummaryImage>> Parts;
+    std::uint32_t PartsHave = 0;
+  };
+  std::vector<std::vector<SummaryRow>> Summaries; // [group][src]
 
-  // Rings.
+  // Rings. Every F-ring and mailbox record goes out through
+  // RingWriter::appendOrQueue, which keeps each ring FIFO when it is full:
+  // chunk reassembly and the FreeSeqNext dedup cursor rely on that.
   std::vector<std::unique_ptr<RingReader>> FreeReaders;  // [issuer]
   std::vector<std::unique_ptr<RingWriter>> FreeWriters;  // [peer]
-  /// Outbound F-ring records waiting for ring space, drained head-first
-  /// per peer (see appendFreeOrdered: the F-ring must stay FIFO per
-  /// source even when a full ring forces retries).
-  struct OutboundRecord {
-    Bytes Record;
-    rdma::CompletionFn Done;
-  };
-  std::vector<std::deque<OutboundRecord>> FreeOutbound; // [peer]
-  /// Whether a retry timer is already armed for the peer's queue.
-  std::vector<char> FreeOutboundArmed; // [peer]
   std::vector<std::unique_ptr<RingReader>> ConfReaders;  // [group]
   /// Record buffer and summary image the pollers reuse, so a traversal
   /// allocates nothing.
@@ -635,17 +624,23 @@ private:
   std::vector<std::uint64_t> FreeSeqNext; // [issuer]
 
   // Batching state: the calls accumulated for the next flush.
-  struct BatchedFree {
-    Bytes Encoded; // encodeCall output
-    /// Completed when the flush's writes complete (null when the call
-    /// already completed: RespondAfterCompletion off).
-    PendingCallPtr Call;
-  };
-  std::vector<BatchedFree> FreeBatch;
+  /// The free calls (encodeCall outputs) and those of them still to be
+  /// completed when the flush's writes complete (RespondAfterCompletion).
+  std::vector<Bytes> FreeBatch;
+  std::vector<PendingCallPtr> FreeBatchDone;
   std::size_t FreeBatchBytes = 0;
-  /// Calls folded into each group's summary since its last shipped image.
-  std::vector<std::uint32_t> SumBatchCalls; // [group]
-  std::vector<std::vector<PendingCallPtr>> SumBatchDone; // [group]
+  /// What the next flush ships of one summarization group.
+  struct GroupOutbound {
+    /// Calls folded into the own summary since the last flush. The
+    /// version peers were last shipped is the own Seq minus this.
+    std::uint32_t Calls = 0;
+    std::vector<PendingCallPtr> Done;
+    /// Fold of those calls: the next delta frame (deltas only).
+    std::optional<Call> Delta;
+    /// Delta flushes since the last full image (anti-entropy trigger).
+    std::uint32_t FlushesSinceFull = 0;
+  };
+  std::vector<GroupOutbound> Outbound; // [group]
   std::uint32_t BatchedPending = 0;
   /// When the oldest unflushed call was enqueued (timeout backstop).
   sim::SimTime OldestPendingAt = 0;
@@ -654,38 +649,16 @@ private:
   /// Buffers flushBatches() reuses from flush to flush (it never runs
   /// nested), so a flush does not reallocate them.
   struct {
-    std::vector<unsigned> DirtyGroups;
     std::vector<std::pair<unsigned, Bytes>> SlotWrites;
     SummaryImage Image;
     FlushImage Staged;
   } Scratch;
-  obs::Counter *CtrFlushPipe = nullptr;
-  obs::Counter *CtrFlushSize = nullptr;
-  obs::Counter *CtrFlushTimeout = nullptr;
-  obs::Counter *CtrFlushConf = nullptr;
+  /// node.batch.flush.{pipe,size,timeout,conf}, indexed by FlushCause.
+  obs::Counter *CtrFlush[4] = {};
   obs::Histogram *HistBatchCalls = nullptr;
   obs::Histogram *HistBatchBytes = nullptr;
 
-  // Delta-propagation state (dormant unless Cfg.Delta.Enabled, except the
-  // full-frame receive machinery, which also serves the slot-overflow
-  // fallback in classic mode).
-  /// Fold of the local calls of each group since its last shipped frame.
-  std::vector<std::optional<Call>> PendingDelta; // [group]
-  /// Version up to which peers have been shipped this node's summary
-  /// (the FromSeq of the next outgoing delta frame).
-  std::vector<std::uint64_t> DeltaShippedSeq; // [group]
-  /// Delta flushes since the last full-image ship (anti-entropy trigger).
-  std::vector<std::uint32_t> DeltaFlushesSinceFull; // [group]
-  /// Out-of-order delta frames parked until the version gap closes.
-  std::vector<std::vector<std::deque<SummaryDeltaFrame>>>
-      BufferedFrames; // [group][src]
-  /// Partial full-image chunk sets keyed by target version.
-  struct ChunkAssembly {
-    std::uint64_t Seq = 0;
-    std::vector<std::optional<SummaryImage>> Parts;
-    std::uint32_t Have = 0;
-  };
-  std::vector<std::vector<ChunkAssembly>> Assemblies; // [group][src]
+  // Delta-propagation counters and test hook.
   bool DropDeltasForTest = false;
   obs::Counter *CtrDeltaOut = nullptr;
   obs::Counter *CtrDeltaIn = nullptr;

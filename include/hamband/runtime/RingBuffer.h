@@ -30,6 +30,7 @@
 #include "hamband/rdma/Transport.h"
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 namespace hamband {
@@ -108,6 +109,21 @@ public:
   /// it would need at the current tail -- fits the ring right now.
   bool canReserve(std::uint32_t Cells) const;
 
+  /// The outbound path of a data-plane writer: appendRecord() now when no
+  /// record is waiting and the ring has room; otherwise queue \p Payload
+  /// behind the waiting records. The queue drains strictly head-first on
+  /// a retry timer on the writer's node that fires after \p RetryAfter,
+  /// or sooner once a write lands there (the reader's head feedback). A
+  /// full ring stalls the stream but never reorders it, so the reader
+  /// sees the records in post order; \p OnComplete fires once, when the
+  /// record's write completes. The armed timer refers to this writer, so
+  /// the writer must outlive its node's timers.
+  void appendOrQueue(const Bytes &Payload, rdma::CompletionFn &&OnComplete,
+                     sim::SimDuration RetryAfter);
+
+  /// Records appendOrQueue() holds back until the ring has room.
+  std::size_t queued() const { return Queue.size(); }
+
   /// Number of cells appended so far.
   std::uint64_t tail() const { return Tail; }
 
@@ -131,6 +147,12 @@ public:
   void attachStats(obs::Registry &R);
 
 private:
+  /// Appends queued records head-first until the ring fills, then arms
+  /// the retry timer while any remain.
+  void drainQueue(sim::SimDuration RetryAfter);
+  /// Arms the retry timer unless the queue is empty or it is armed.
+  void armRetry(sim::SimDuration RetryAfter);
+
   obs::Counter *CtrAppend = nullptr;
   obs::Counter *CtrFullStall = nullptr;
   obs::Counter *CtrWrap = nullptr;
@@ -147,6 +169,12 @@ private:
   rdma::RegionKey Key;
   unsigned Lane;
   std::uint64_t Tail = 0;
+  struct QueuedRecord {
+    Bytes Payload;
+    rdma::CompletionFn OnComplete;
+  };
+  std::deque<QueuedRecord> Queue;
+  bool RetryArmed = false;
 };
 
 /// The reader's end of a single-writer ring in its own memory.

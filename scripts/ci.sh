@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus fault-schedule fuzz smokes (baseline, batched
-# twin, delta twin), the bench report and paper-figure smokes, the
-# benchmark's own tests, the bounded
+# twin, delta twin, reconfig, reconfig with deltas), the bench report and
+# paper-figure smokes, the benchmark's own tests, the bounded
 # coordination-verifier gate (including keyed-lift preservation), the
 # hamband_mc exhaustive small-scope sweep (plus a delta-mode exploration),
 # a TSan flavor (threaded obs mutation, shm ring stress, the shm
@@ -43,6 +43,12 @@ ctest --test-dir "$BUILD" --output-on-failure -j"$(nproc)"
 # counters stay zero, and diffs the converged states against a
 # static-membership twin cluster.
 "$BUILD/tools/hamband_fuzz" --runs "$((FUZZ_RUNS / 2))" --seed 45 --reconfig
+
+# Reconfig with deltas: a joiner must take each donor summary's version
+# from the transfer image, the donor's own summary included; a stale one
+# parks the donor's next delta frame as a gap for good (seed 47, run 10).
+"$BUILD/tools/hamband_fuzz" --runs "$((FUZZ_RUNS / 2))" --seed 47 --reconfig \
+  --deltas
 
 # Bench smoke: the regression harness must produce a well-formed report.
 "$REPO/scripts/bench_regress.sh" --smoke --out "$BUILD/BENCH_smoke.json" \

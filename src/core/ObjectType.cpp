@@ -33,13 +33,6 @@ bool ObjectType::summarize(const Call &, const Call &, Call &) const {
   return false;
 }
 
-bool ObjectType::applyDelta(const Call &Base, const Call &Delta,
-                            Call &Out) const {
-  // Summarize is the group's join: folding the delta into the base is the
-  // same operation the issuer used to fold the underlying calls.
-  return summarize(Base, Delta, Out);
-}
-
 bool ObjectType::summaryArgsDecomposable(MethodId) const { return false; }
 
 std::vector<Call> ObjectType::decomposeSummary(

@@ -28,23 +28,6 @@ struct FlushTally {
 /// beyond it are dropped (counted) and heal via anti-entropy.
 constexpr std::size_t BufferedFrameCap = 64;
 
-/// Appends a (possibly spanning) record to a ring, retrying every
-/// RetryAfter while it is full, or sooner once the reader's head feedback
-/// write lands. A retry re-arms itself by moving into the next timer, so
-/// the record has one owner at any time. Retries run on the writer node's
-/// timer so the ring stays single-threaded.
-struct AppendRetry {
-  rdma::Transport *T;
-  RingWriter *W;
-  Bytes Record;
-  sim::SimDuration RetryAfter;
-
-  void operator()() {
-    if (!W->appendRecord(Record))
-      T->runAfterOrWrite(W->writer(), RetryAfter, std::move(*this));
-  }
-};
-
 /// Pads a summary image into a full slot write: u32 len | payload | ...
 /// zeros ... | seq trailer | canary.
 Bytes slotBytes(const Bytes &Payload, std::uint32_t SlotSize) {
@@ -112,10 +95,10 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   HistRespNs = &Stats.histogram("node.resp_ns");
   GaugePendingFree = &Stats.gauge("node.pending_free");
   GaugePendingConf = &Stats.gauge("node.pending_conf");
-  CtrFlushPipe = &Stats.counter("node.batch.flush.pipe");
-  CtrFlushSize = &Stats.counter("node.batch.flush.size");
-  CtrFlushTimeout = &Stats.counter("node.batch.flush.timeout");
-  CtrFlushConf = &Stats.counter("node.batch.flush.conf");
+  CtrFlush[0] = &Stats.counter("node.batch.flush.pipe");
+  CtrFlush[1] = &Stats.counter("node.batch.flush.size");
+  CtrFlush[2] = &Stats.counter("node.batch.flush.timeout");
+  CtrFlush[3] = &Stats.counter("node.batch.flush.conf");
   HistBatchCalls = &Stats.histogram("node.batch.calls");
   HistBatchBytes = &Stats.histogram("node.batch.bytes");
   CtrDeltaOut = &Stats.counter("node.delta.out");
@@ -154,20 +137,12 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
   for (MethodId U = 0; U < Type.numMethods(); ++U)
     if (Spec.isUpdate(U) && Spec.sumGroup(U))
       GroupMethods[*Spec.sumGroup(U)].push_back(U);
-  SummaryCache.assign(SumGroups, std::vector<std::optional<Call>>(N));
-  SummarySeqSeen.assign(SumGroups, std::vector<std::uint64_t>(N, 0));
-  OwnSummary.assign(SumGroups, std::nullopt);
-  OwnSummarySeq.assign(SumGroups, 0);
+  Summaries.resize(SumGroups);
+  for (auto &Rows : Summaries)
+    Rows.resize(N);
+  Outbound.resize(SumGroups);
   FreePending.resize(N);
   FreeSeqNext.assign(N, 0);
-  SumBatchCalls.assign(SumGroups, 0);
-  SumBatchDone.resize(SumGroups);
-  PendingDelta.assign(SumGroups, std::nullopt);
-  DeltaShippedSeq.assign(SumGroups, 0);
-  DeltaFlushesSinceFull.assign(SumGroups, 0);
-  BufferedFrames.assign(SumGroups,
-                        std::vector<std::deque<SummaryDeltaFrame>>(N));
-  Assemblies.assign(SumGroups, std::vector<ChunkAssembly>(N));
   ConfPending.resize(Groups);
   ConfReceivedContig.assign(Groups, 0);
   ConfAppliedIdx.assign(Groups, 0);
@@ -180,8 +155,6 @@ HambandNode::HambandNode(rdma::Transport &Fabric, rdma::NodeId Self,
 
   FreeReaders.resize(N);
   FreeWriters.resize(N);
-  FreeOutbound.resize(N);
-  FreeOutboundArmed.assign(N, 0);
   MailReaders.resize(N);
   MailWriters.resize(N);
   for (rdma::NodeId J = 0; J < N; ++J) {
@@ -305,10 +278,10 @@ const ObjectState &HambandNode::visibleState() {
   if (!VisibleDirty && VisibleCache)
     return *VisibleCache;
   VisibleCache = Stored->clone();
-  for (const auto &Group : SummaryCache)
-    for (const std::optional<Call> &C : Group)
-      if (C)
-        Type.apply(*VisibleCache, *C);
+  for (const auto &Rows : Summaries)
+    for (const SummaryRow &Row : Rows)
+      if (Row.Image)
+        Type.apply(*VisibleCache, *Row.Image);
   VisibleDirty = false;
   return *VisibleCache;
 }
@@ -384,9 +357,9 @@ bool HambandNode::idle() const {
   // Out-of-order delta frames are undelivered payload; a partially
   // assembled full image is not (its remaining chunks are still in
   // flight and will arrive through the rings).
-  for (const auto &PerSrc : BufferedFrames)
-    for (const auto &Q : PerSrc)
-      if (!Q.empty())
+  for (const auto &Rows : Summaries)
+    for (const SummaryRow &Row : Rows)
+      if (!Row.Buffered.empty())
         return false;
   return AwaitingResponse.empty();
 }
@@ -415,11 +388,14 @@ std::uint64_t HambandNode::stateDigest() {
   for (std::uint64_t V : FreeSeqNext)
     Mix(V);
   Mix(BcastSeqOut);
-  for (std::uint64_t V : OwnSummarySeq)
-    Mix(V);
-  for (const auto &Row : SummarySeqSeen)
-    for (std::uint64_t V : Row)
-      Mix(V);
+  for (const auto &Rows : Summaries)
+    for (const SummaryRow &Row : Rows) {
+      Mix(Row.Seq);
+      Mix(Row.Buffered.size());
+      Mix(Row.AssemblySeq + Row.PartsHave);
+    }
+  for (const GroupOutbound &Out : Outbound)
+    Mix(Out.Calls);
   for (const auto &R : FreeReaders)
     Mix(R ? R->head() : 0);
   for (const auto &W : FreeWriters)
@@ -445,14 +421,6 @@ std::uint64_t HambandNode::stateDigest() {
   Mix(BatchedPending);
   Mix(FreeBatchBytes);
   Mix(FlushesInFlight);
-  for (std::uint64_t V : DeltaShippedSeq)
-    Mix(V);
-  for (const auto &PerSrc : BufferedFrames)
-    for (const auto &Q : PerSrc)
-      Mix(Q.size());
-  for (const auto &PerSrc : Assemblies)
-    for (const ChunkAssembly &A : PerSrc)
-      Mix(A.Seq + A.Have);
   return H;
 }
 
@@ -518,9 +486,9 @@ void HambandNode::finish(PendingCall &P, bool Ok, Value Result) {
 void HambandNode::handleQuery(PendingCallPtr P) {
   const rdma::NetworkModel &M = Fabric.model();
   unsigned NumSummaries = 0;
-  for (const auto &Group : SummaryCache)
-    for (const std::optional<Call> &S : Group)
-      if (S)
+  for (const auto &Rows : Summaries)
+    for (const SummaryRow &Row : Rows)
+      if (Row.Image)
         ++NumSummaries;
   sim::SimDuration Cost = M.QueryCpu + NumSummaries * M.ApplySummaryCpu;
   Fabric.runOnCpu(
@@ -547,7 +515,8 @@ void HambandNode::handleReduce(PendingCallPtr P) {
           return;
         }
         unsigned G = *Spec.sumGroup(Eff.Method);
-        std::optional<Call> &Own = OwnSummary[G];
+        SummaryRow &OwnRow = Summaries[G][Self];
+        std::optional<Call> &Own = OwnRow.Image;
         // The fold of the own summary and this call; the first call of a
         // group is its own summary.
         Call Folded;
@@ -572,10 +541,9 @@ void HambandNode::handleReduce(PendingCallPtr P) {
         } else {
           Own = Eff;
         }
-        ++OwnSummarySeq[G];
+        ++OwnRow.Seq;
         Applied[Self][Eff.Method] += 1;
         ++NumLocalUpdates;
-        SummaryCache[G][Self] = *Own;
         // The fold appends exactly the prepared call, and reducible calls
         // are conflict-free (they S-commute with everything a rebuild
         // applies after them), so the visible cache can absorb the call
@@ -586,27 +554,28 @@ void HambandNode::handleReduce(PendingCallPtr P) {
         else
           VisibleDirty = true;
 
-        // The call is already folded into OwnSummary[G]; the flush ships
-        // one image covering every fold since the last one.
+        // The call is already folded into the own summary; the flush
+        // ships one image covering every fold since the last one.
         if (activePeerCount() == 0) {
           complete(std::move(P), true, 0);
           return;
         }
+        GroupOutbound &Out = Outbound[G];
         if (Cfg.Delta.Enabled) {
           // The per-flush delta folds alongside the full summary.
-          if (PendingDelta[G]) {
+          if (Out.Delta) {
             Call D;
-            bool Ok = Type.applyDelta(*PendingDelta[G], Eff, D);
+            bool Ok = Type.summarize(*Out.Delta, Eff, D);
             assert(Ok && "summarization group not closed");
             (void)Ok;
-            PendingDelta[G] = std::move(D);
+            Out.Delta = std::move(D);
           } else {
-            PendingDelta[G] = std::move(Eff);
+            Out.Delta = std::move(Eff);
           }
         }
-        ++SumBatchCalls[G];
+        ++Out.Calls;
         if (Cfg.RespondAfterCompletion)
-          SumBatchDone[G].push_back(std::move(P));
+          Out.Done.push_back(std::move(P));
         else
           complete(std::move(P), true, 0);
         noteBatchedCall();
@@ -641,21 +610,19 @@ void HambandNode::handleFree(PendingCallPtr P) {
           complete(std::move(P), true, 0);
           return;
         }
-        // Pre-flush when this call would overflow the batch record cap
-        // (flushBatches also chunks oversized batches defensively, but
-        // flushing here keeps each staged image within the cap).
+        // Pre-flush when this call would overflow the batch record cap,
+        // so every batch of two or more calls fits one ring record and
+        // the backup slot.
         std::size_t Framed = Encoded.size() + 4; // u32 length prefix
         if (!FreeBatch.empty() &&
             4 + FreeBatchBytes + Framed > freeBatchCapBytes())
           flushBatches(FlushCause::Size);
-        BatchedFree B;
-        B.Encoded = std::move(Encoded);
         if (Cfg.RespondAfterCompletion)
-          B.Call = std::move(P);
+          FreeBatchDone.push_back(std::move(P));
         else
           complete(std::move(P), true, 0);
         FreeBatchBytes += Framed;
-        FreeBatch.push_back(std::move(B));
+        FreeBatch.push_back(std::move(Encoded));
         noteBatchedCall();
       },
       rdma::Transport::LaneClient);
@@ -672,8 +639,7 @@ Bytes HambandNode::encodeConfRequest(const Call &C) const {
 }
 
 void HambandNode::mailTo(rdma::NodeId Peer, Bytes Record) {
-  AppendRetry{&Fabric, MailWriters[Peer].get(), std::move(Record),
-              Cfg.PollInterval}();
+  MailWriters[Peer]->appendOrQueue(Record, nullptr, Cfg.PollInterval);
 }
 
 void HambandNode::handleConf(PendingCallPtr P) {
@@ -1001,7 +967,7 @@ void HambandNode::enqueueDecodedFree(ProcessId Issuer,
 unsigned HambandNode::pollSummaries() {
   unsigned Parsed = 0;
   const rdma::MemoryRegion &Mem = Fabric.memory(Self);
-  for (unsigned G = 0; G < SummaryCache.size(); ++G) {
+  for (unsigned G = 0; G < Summaries.size(); ++G) {
     for (rdma::NodeId Src = 0; Src < Fabric.numNodes(); ++Src) {
       if (Src == Self)
         continue;
@@ -1012,7 +978,7 @@ unsigned HambandNode::pollSummaries() {
       // (or stale ones -- delta frames can advance the seen version past
       // the last slot overwrite).
       std::uint64_t Seq = Mem.readU64(Off + 4);
-      if (Seq <= SummarySeqSeen[G][Src])
+      if (Seq <= Summaries[G][Src].Seq)
         continue;
       // Snapshot the whole slot before parsing: on the shm transport a
       // concurrent overwrite with a newer image could otherwise tear the
@@ -1081,42 +1047,6 @@ bool HambandNode::fullImageShippable(const Call &Summary,
   return Full + SummaryDeltaHeaderBytes <= Cfg.FreeGeom.maxRecordPayload();
 }
 
-void HambandNode::appendFreeOrdered(rdma::NodeId Peer, const Bytes &Record,
-                                    rdma::CompletionFn Done) {
-  auto &Q = FreeOutbound[Peer];
-  if (!Q.empty()) {
-    Q.push_back({Record, std::move(Done)});
-    drainFreeOutbound(Peer);
-    return;
-  }
-  // Nothing queued: append at once, queueing only when the ring is full.
-  if (FreeWriters[Peer]->appendRecord(Record, std::move(Done)))
-    return;
-  Q.push_back({Record, std::move(Done)});
-  armFreeOutbound(Peer);
-}
-
-void HambandNode::drainFreeOutbound(rdma::NodeId Peer) {
-  auto &Q = FreeOutbound[Peer];
-  while (!Q.empty() && FreeWriters[Peer]->appendRecord(
-                           Q.front().Record, std::move(Q.front().Done)))
-    Q.pop_front();
-  armFreeOutbound(Peer);
-}
-
-void HambandNode::armFreeOutbound(rdma::NodeId Peer) {
-  if (FreeOutbound[Peer].empty() || FreeOutboundArmed[Peer])
-    return;
-  // Ring full mid-stream: hold the queue and retry head-first once the
-  // reader's head feedback lands (or after PollInterval). The retry runs
-  // on this node's timer so the writer stays single-threaded.
-  FreeOutboundArmed[Peer] = 1;
-  Fabric.runAfterOrWrite(Self, Cfg.PollInterval, [this, Peer]() {
-    FreeOutboundArmed[Peer] = 0;
-    drainFreeOutbound(Peer);
-  });
-}
-
 std::vector<Bytes>
 HambandNode::encodeFullFrames(unsigned G, const SummaryImage &Img) const {
   std::vector<Call> Chunks =
@@ -1147,8 +1077,9 @@ HambandNode::encodeFullFrames(unsigned G, const SummaryImage &Img) const {
 bool HambandNode::handleSummaryFrame(ProcessId Src,
                                      const SummaryDeltaFrame &F) {
   unsigned G = F.Group;
-  if (G >= SummaryCache.size() || Src >= Fabric.numNodes() || Src == Self)
+  if (G >= Summaries.size() || Src >= Fabric.numNodes() || Src == Self)
     return false;
+  SummaryRow &Row = Summaries[G][Src];
   if (F.Full) {
     CtrDeltaFullIn->add();
     SummaryImage Img;
@@ -1158,41 +1089,40 @@ bool HambandNode::handleSummaryFrame(ProcessId Src,
     }
     if (F.ChunkCount <= 1)
       return installFullImage(G, Src, Img);
-    if (F.ToSeq <= SummarySeqSeen[G][Src])
+    if (F.ToSeq <= Row.Seq)
       return false; // A chunk of an image we already superseded.
-    ChunkAssembly &A = Assemblies[G][Src];
-    if (A.Seq != F.ToSeq || A.Parts.size() != F.ChunkCount) {
+    if (Row.AssemblySeq != F.ToSeq || Row.Parts.size() != F.ChunkCount) {
       // A newer (or differently shaped) image abandons the partial set:
       // the F-ring is FIFO per source, so the rest of the old set is
       // never coming.
-      A.Seq = F.ToSeq;
-      A.Parts.assign(F.ChunkCount, std::nullopt);
-      A.Have = 0;
+      Row.AssemblySeq = F.ToSeq;
+      Row.Parts.assign(F.ChunkCount, std::nullopt);
+      Row.PartsHave = 0;
     }
-    if (!A.Parts[F.ChunkIdx]) {
-      A.Parts[F.ChunkIdx] = std::move(Img);
-      ++A.Have;
+    if (!Row.Parts[F.ChunkIdx]) {
+      Row.Parts[F.ChunkIdx] = std::move(Img);
+      ++Row.PartsHave;
     }
-    if (A.Have < F.ChunkCount)
+    if (Row.PartsHave < F.ChunkCount)
       return false;
     // All chunks present. decomposeSummary slices the argument list
     // contiguously, so concatenating the chunk arguments in index order
     // rebuilds the exact image in O(n); re-folding the chunks through
     // summarize would be quadratic for set-valued summaries.
-    SummaryImage Whole = std::move(*A.Parts[0]);
-    for (std::size_t I = 1; I < A.Parts.size(); ++I) {
-      Call &Part = A.Parts[I]->Summary;
+    SummaryImage Whole = std::move(*Row.Parts[0]);
+    for (std::size_t I = 1; I < Row.Parts.size(); ++I) {
+      Call &Part = Row.Parts[I]->Summary;
       Whole.Summary.Args.insert(Whole.Summary.Args.end(),
                                 Part.Args.begin(), Part.Args.end());
     }
-    Whole.Seq = A.Seq;
-    A.Seq = 0;
-    A.Parts.clear();
-    A.Have = 0;
+    Whole.Seq = Row.AssemblySeq;
+    Row.AssemblySeq = 0;
+    Row.Parts.clear();
+    Row.PartsHave = 0;
     return installFullImage(G, Src, Whole);
   }
   // Delta frame.
-  if (F.ToSeq <= SummarySeqSeen[G][Src]) {
+  if (F.ToSeq <= Row.Seq) {
     CtrDeltaDup->add();
     return false;
   }
@@ -1203,36 +1133,36 @@ bool HambandNode::handleSummaryFrame(ProcessId Src,
   // Version gap: park the frame until the gap closes or anti-entropy
   // leapfrogs it.
   CtrDeltaGap->add();
-  auto &Buf = BufferedFrames[G][Src];
-  if (Buf.size() >= BufferedFrameCap) {
+  if (Row.Buffered.size() >= BufferedFrameCap) {
     CtrDeltaDropped->add();
     return false;
   }
-  Buf.push_back(F);
+  Row.Buffered.push_back(F);
   return false;
 }
 
 bool HambandNode::tryApplyDeltaFrame(ProcessId Src,
                                      const SummaryDeltaFrame &F) {
-  unsigned G = F.Group;
-  std::uint64_t &Seen = SummarySeqSeen[G][Src];
-  if (F.ToSeq <= Seen)
+  SummaryRow &Row = Summaries[F.Group][Src];
+  if (F.ToSeq <= Row.Seq)
     return true; // Duplicate: consumed, nothing to apply.
-  if (F.FromSeq != Seen)
+  if (F.FromSeq != Row.Seq)
     return false; // Gap.
   SummaryImage Img;
   if (!decodeSummary(F.Image.data(), F.Image.size(), Img)) {
     CtrDeltaDropped->add();
     return true; // Malformed: consume rather than wedge the buffer.
   }
+  // Summarize is the group's join: folding the delta into the image is
+  // the fold the source applied to the underlying calls.
   Call Joined = Img.Summary;
-  if (SummaryCache[G][Src]) {
-    bool Ok = Type.applyDelta(*SummaryCache[G][Src], Img.Summary, Joined);
+  if (Row.Image) {
+    bool Ok = Type.summarize(*Row.Image, Img.Summary, Joined);
     assert(Ok && "delta join failed for a closed summarization group");
     (void)Ok;
   }
-  SummaryCache[G][Src] = std::move(Joined);
-  Seen = F.ToSeq;
+  Row.Image = std::move(Joined);
+  Row.Seq = F.ToSeq;
   for (const auto &[U, Cnt] : Img.AppliedCounts)
     if (Cnt > Applied[Src][U])
       Applied[Src][U] = Cnt;
@@ -1247,12 +1177,13 @@ bool HambandNode::tryApplyDeltaFrame(ProcessId Src,
 }
 
 void HambandNode::retryBufferedFrames(unsigned G, ProcessId Src) {
-  auto &Buf = BufferedFrames[G][Src];
+  SummaryRow &Row = Summaries[G][Src];
+  auto &Buf = Row.Buffered;
   bool Progress = true;
   while (Progress && !Buf.empty()) {
     Progress = false;
     for (auto It = Buf.begin(); It != Buf.end();) {
-      if (It->ToSeq <= SummarySeqSeen[G][Src]) {
+      if (It->ToSeq <= Row.Seq) {
         It = Buf.erase(It); // Superseded (a full image leapt over it).
         Progress = true;
       } else if (tryApplyDeltaFrame(Src, *It)) {
@@ -1267,14 +1198,14 @@ void HambandNode::retryBufferedFrames(unsigned G, ProcessId Src) {
 
 bool HambandNode::installFullImage(unsigned G, ProcessId Src,
                                    SummaryImage &Img) {
-  if (Img.Seq <= SummarySeqSeen[G][Src])
+  SummaryRow &Row = Summaries[G][Src];
+  if (Img.Seq <= Row.Seq)
     return false;
-  std::optional<Call> &Cached = SummaryCache[G][Src];
-  if (Cached)
-    std::swap(*Cached, Img.Summary);
+  if (Row.Image)
+    std::swap(*Row.Image, Img.Summary);
   else
-    Cached = std::move(Img.Summary);
-  SummarySeqSeen[G][Src] = Img.Seq;
+    Row.Image = std::move(Img.Summary);
+  Row.Seq = Img.Seq;
   for (const auto &[U, Cnt] : Img.AppliedCounts)
     if (Cnt > Applied[Src][U])
       Applied[Src][U] = Cnt;
@@ -1288,25 +1219,15 @@ bool HambandNode::installFullImage(unsigned G, ProcessId Src,
 
 void HambandNode::seedSummary(unsigned Group, ProcessId Src,
                               const Call &Summary, std::uint64_t Seq) {
-  assert(Group < SummaryCache.size() && Src < Fabric.numNodes());
-  SummaryCache[Group][Src] = Summary;
-  SummarySeqSeen[Group][Src] = Seq;
+  assert(Group < Summaries.size() && Src < Fabric.numNodes());
+  Summaries[Group][Src].Image = Summary;
+  Summaries[Group][Src].Seq = Seq;
   // The applied-count row travels with shipped images; a seeded image
   // must carry it too or the applied-table equality oracles would see a
   // seeded cluster as diverged.
   if (Seq > Applied[Src][Summary.Method])
     Applied[Src][Summary.Method] = Seq;
-  if (Src == Self) {
-    OwnSummary[Group] = Summary;
-    OwnSummarySeq[Group] = Seq;
-    DeltaShippedSeq[Group] = Seq;
-  }
   VisibleDirty = true;
-}
-
-std::size_t HambandNode::bufferedDeltaFrames(unsigned Group,
-                                             ProcessId Src) const {
-  return BufferedFrames[Group][Src].size();
 }
 
 unsigned HambandNode::pollConfRings() {
@@ -1524,50 +1445,15 @@ void HambandNode::flushBatches(FlushCause Cause) {
   assert(N > 1 && "calls complete inline when N == 1");
   const rdma::NetworkModel &M = Fabric.model();
 
-  switch (Cause) {
-  case FlushCause::Pipe:
-    CtrFlushPipe->add();
-    break;
-  case FlushCause::Size:
-    CtrFlushSize->add();
-    break;
-  case FlushCause::Timeout:
-    CtrFlushTimeout->add();
-    break;
-  case FlushCause::Conf:
-    CtrFlushConf->add();
-    break;
-  }
+  CtrFlush[static_cast<unsigned>(Cause)]->add();
   HistBatchCalls->record(BatchedPending);
   HistBatchBytes->record(FreeBatchBytes);
 
-  // Take ownership of the accumulated batch; calls arriving while this
-  // flush is in flight accumulate into fresh state. The tally completes
-  // the batch's calls, summary calls first, once every write completed.
-  std::vector<BatchedFree> Free = std::move(FreeBatch);
-  FreeBatch.clear();
-  FreeBatchBytes = 0;
+  // Take over the accumulated calls; calls arriving while this flush is
+  // in flight accumulate afresh. The tally completes the flush's calls,
+  // summary calls first, once every write completed.
   BatchedPending = 0;
   auto Tally = std::make_shared<FlushTally>();
-  std::vector<unsigned> &DirtyGroups = Scratch.DirtyGroups;
-  DirtyGroups.clear();
-  for (unsigned G = 0; G < SumBatchCalls.size(); ++G) {
-    if (SumBatchCalls[G] == 0)
-      continue;
-    DirtyGroups.push_back(G);
-    SumBatchCalls[G] = 0;
-    for (PendingCallPtr &P : SumBatchDone[G])
-      Tally->Calls.push_back(std::move(P));
-    SumBatchDone[G].clear();
-  }
-
-  // One image per dirty group covering every call folded since the last
-  // shipped image (the Seq jump is fine: peers only check for newer).
-  // Each group ships through one of three channels: the classic summary
-  // slot (fits, deltas off), a delta frame over the F-rings (deltas on),
-  // or chunked full-image frames (anti-entropy round, slot overflow, or
-  // an oversized delta). Full frames are exempt from the test-only delta
-  // drop hook, so anti-entropy always heals.
   FlushImage &Img = Scratch.Staged;
   Img.Summaries.clear();
   Img.FreeRecord = Bytes();
@@ -1576,10 +1462,17 @@ void HambandNode::flushBatches(FlushCause Cause) {
   SlotWrites.clear();
   std::vector<Bytes> FullFrames;
   std::vector<Bytes> DeltaFrames;
-  for (unsigned G : DirtyGroups) {
+  unsigned DeltaGroup = 0;
+  for (unsigned G = 0; G < Outbound.size(); ++G) {
+    GroupOutbound &Out = Outbound[G];
+    if (Out.Calls == 0)
+      continue;
+    // One image covering every call folded since the last flush (the Seq
+    // jump is fine: peers only check for newer).
+    const SummaryRow &Own = Summaries[G][Self];
     SummaryImage &SImg = Scratch.Image;
-    SImg.Seq = OwnSummarySeq[G];
-    SImg.Summary = *OwnSummary[G];
+    SImg.Seq = Own.Seq;
+    SImg.Summary = *Own.Image;
     SImg.AppliedCounts.clear();
     for (MethodId U : groupMethods(G))
       SImg.AppliedCounts.emplace_back(U, Applied[Self][U]);
@@ -1590,96 +1483,86 @@ void HambandNode::flushBatches(FlushCause Cause) {
     // recovery) -- unless it cannot possibly fit the backup slot, in
     // which case the whole flush goes unstaged (counted): staging a
     // partial flush image would break the flush's crash atomicity.
+    bool FitsStage = FullBytes + 11 <= Cfg.BackupSlotBytes;
     Bytes Payload;
-    if (FitsSlot || FullBytes + 11 <= Cfg.BackupSlotBytes)
+    if (FitsSlot || FitsStage)
       Payload = encodeSummary(SImg);
-    if (!Cfg.Delta.Enabled && FitsSlot)
+
+    // The one ship decision: the classic summary slot (deltas off, the
+    // image fits), else a delta frame over the F-rings (deltas on, no
+    // anti-entropy round due, the frame fits one record), else chunked
+    // full-image frames. Full frames are exempt from the test-only delta
+    // drop hook, so anti-entropy always heals.
+    Bytes DeltaFrame;
+    if (Cfg.Delta.Enabled &&
+        !(Cfg.Delta.AntiEntropyEvery > 0 &&
+          Out.FlushesSinceFull + 1 >= Cfg.Delta.AntiEntropyEvery)) {
+      assert(Out.Delta && "dirty group without a pending delta");
+      SummaryImage DImg;
+      DImg.Seq = Own.Seq;
+      DImg.Summary = std::move(*Out.Delta);
+      DImg.AppliedCounts = SImg.AppliedCounts;
+      SummaryDeltaFrame F;
+      F.Group = static_cast<std::uint8_t>(G);
+      F.Full = 0;
+      F.FromSeq = Own.Seq - Out.Calls; // What peers were last shipped.
+      F.ToSeq = Own.Seq;
+      F.Epoch = CurrentEpoch;
+      F.Image = encodeSummary(DImg);
+      DeltaFrame = encodeSummaryDelta(F);
+      if (DeltaFrame.size() > Cfg.FreeGeom.maxRecordPayload())
+        DeltaFrame = Bytes(); // Oversized delta: ship the full image.
+    }
+    if (!Cfg.Delta.Enabled && FitsSlot) {
       SlotWrites.emplace_back(G, slotBytes(Payload, Cfg.SummarySlotBytes));
-    if (FullBytes + 11 <= Cfg.BackupSlotBytes)
+    } else if (!DeltaFrame.empty()) {
+      DeltaFrames.push_back(std::move(DeltaFrame));
+      DeltaGroup = G;
+      CtrDeltaOut->add();
+      ++Out.FlushesSinceFull;
+    } else {
+      if (!Cfg.Delta.Enabled)
+        CtrSlotOverflow->add();
+      for (Bytes &FB : encodeFullFrames(G, SImg))
+        FullFrames.push_back(std::move(FB));
+      CtrDeltaFullOut->add();
+      Out.FlushesSinceFull = 0;
+    }
+    if (FitsStage)
       Img.Summaries.emplace_back(static_cast<std::uint8_t>(G),
                                  std::move(Payload));
     else
       StageOk = false;
 
-    if (!Cfg.Delta.Enabled) {
-      if (!FitsSlot) {
-        CtrSlotOverflow->add();
-        for (Bytes &FB : encodeFullFrames(G, SImg))
-          FullFrames.push_back(std::move(FB));
-        CtrDeltaFullOut->add();
-      }
-      DeltaShippedSeq[G] = OwnSummarySeq[G];
-      continue;
-    }
-
-    bool AntiEntropyDue =
-        Cfg.Delta.AntiEntropyEvery > 0 &&
-        DeltaFlushesSinceFull[G] + 1 >= Cfg.Delta.AntiEntropyEvery;
-    bool ShipFull = AntiEntropyDue;
-    if (!ShipFull) {
-      assert(PendingDelta[G] && "dirty group without a pending delta");
-      SummaryImage DImg;
-      DImg.Seq = OwnSummarySeq[G];
-      DImg.Summary = *PendingDelta[G];
-      DImg.AppliedCounts = SImg.AppliedCounts;
-      SummaryDeltaFrame F;
-      F.Group = static_cast<std::uint8_t>(G);
-      F.Full = 0;
-      F.FromSeq = DeltaShippedSeq[G];
-      F.ToSeq = OwnSummarySeq[G];
-      F.Epoch = CurrentEpoch;
-      F.Image = encodeSummary(DImg);
-      Bytes Enc = encodeSummaryDelta(F);
-      if (Enc.size() <= Cfg.FreeGeom.maxRecordPayload()) {
-        DeltaFrames.push_back(std::move(Enc));
-        CtrDeltaOut->add();
-        ++DeltaFlushesSinceFull[G];
-      } else {
-        ShipFull = true; // Oversized delta: fall back to a full ship.
-      }
-    }
-    if (ShipFull) {
-      for (Bytes &FB : encodeFullFrames(G, SImg))
-        FullFrames.push_back(std::move(FB));
-      CtrDeltaFullOut->add();
-      DeltaFlushesSinceFull[G] = 0;
-    }
-    DeltaShippedSeq[G] = OwnSummarySeq[G];
-    PendingDelta[G].reset();
+    Out.Calls = 0;
+    Out.Delta.reset();
+    for (PendingCallPtr &P : Out.Done)
+      Tally->Calls.push_back(std::move(P));
+    Out.Done.clear();
   }
 
-  // The free calls, chunked into wire records that each fit a spanning
-  // ring reservation. A single-call chunk uses the plain record format.
-  std::vector<Bytes> AllCalls;
-  AllCalls.reserve(Free.size());
-  for (BatchedFree &B : Free) {
-    if (B.Call)
-      Tally->Calls.push_back(std::move(B.Call));
-    AllCalls.push_back(std::move(B.Encoded));
+  // The free calls, encoded once: a lone call ships in the plain record
+  // format, two or more as one batch record -- the very bytes the flush
+  // image stages. handleFree's pre-flush keeps every batch within
+  // freeBatchCapBytes(), so it fits one spanning ring record.
+  Bytes FreeRecord;
+  if (!FreeBatch.empty()) {
+    Img.FreeRecord = encodeCallBatch(FreeBatch);
+    FreeRecord = FreeBatch.size() == 1 ? FreeBatch[0] : Img.FreeRecord;
+    assert((FreeBatch.size() == 1 ||
+            FreeRecord.size() <= freeBatchCapBytes()) &&
+           "handleFree pre-flushes before the batch outgrows its cap");
   }
-  if (!AllCalls.empty())
-    Img.FreeRecord = encodeCallBatch(AllCalls);
-  std::vector<Bytes> Records;
-  const std::size_t Cap = freeBatchCapBytes();
-  for (std::size_t I = 0; I < AllCalls.size();) {
-    std::size_t J = I;
-    std::size_t ChunkBytes = 4; // marker + count
-    while (J < AllCalls.size() &&
-           (J == I || ChunkBytes + AllCalls[J].size() + 4 <= Cap)) {
-      ChunkBytes += AllCalls[J].size() + 4;
-      ++J;
-    }
-    if (J - I == 1)
-      Records.push_back(std::move(AllCalls[I]));
-    else
-      Records.push_back(encodeCallBatch(AllCalls.data() + I, J - I));
-    I = J;
-  }
+  for (PendingCallPtr &P : FreeBatchDone)
+    Tally->Calls.push_back(std::move(P));
+  FreeBatch.clear();
+  FreeBatchDone.clear();
+  FreeBatchBytes = 0;
 
   bool DropDeltas = DropDeltasForTest && !DeltaFrames.empty();
   unsigned Writes = static_cast<unsigned>(
-      (SlotWrites.size() + Records.size() + FullFrames.size() +
-       (DropDeltas ? 0 : DeltaFrames.size())) *
+      (SlotWrites.size() + FullFrames.size() +
+       (DropDeltas ? 0 : DeltaFrames.size()) + (FreeRecord.empty() ? 0 : 1)) *
       activePeerCount());
   if (Writes == 0) {
     // Every record of this flush was a delta the drop hook swallowed:
@@ -1699,12 +1582,12 @@ void HambandNode::flushBatches(FlushCause Cause) {
   if (StageOk && Staged.size() + 11 <= Cfg.BackupSlotBytes)
     Broadcast->stage(ReliableBroadcast::Kind::FreeBatch, 0, Staged,
                      CurrentEpoch);
-  else if (DirtyGroups.size() == 1 && DeltaFrames.size() == 1 &&
-           FullFrames.empty() && Records.empty() &&
+  else if (DeltaFrames.size() == 1 && SlotWrites.empty() &&
+           FullFrames.empty() && FreeRecord.empty() &&
            DeltaFrames[0].size() + 11 <= Cfg.BackupSlotBytes)
     Broadcast->stage(ReliableBroadcast::Kind::SummaryDelta,
-                     static_cast<std::uint8_t>(DirtyGroups[0]),
-                     DeltaFrames[0], CurrentEpoch);
+                     static_cast<std::uint8_t>(DeltaGroup), DeltaFrames[0],
+                     CurrentEpoch);
   else
     CtrStageSkipped->add();
 
@@ -1728,7 +1611,7 @@ void HambandNode::flushBatches(FlushCause Cause) {
                                                         : FlushCause::Pipe);
   };
 
-  // Summaries (slot writes and frames) post before the free records: a
+  // Summaries (slot writes and frames) post before the free record: a
   // free call's dependency array may reference applied counts that travel
   // with a summary image, and the per-lane FIFO fabric delivers writes in
   // post order.
@@ -1737,21 +1620,23 @@ void HambandNode::flushBatches(FlushCause Cause) {
       if (Peer != Self && activeNode(Peer))
         Post(Peer);
   };
+  auto AppendToEveryPeer = [&](const Bytes &Record) {
+    ToEveryPeer([&](rdma::NodeId Peer) {
+      FreeWriters[Peer]->appendOrQueue(Record, Finish, Cfg.PollInterval);
+    });
+  };
   for (const auto &[G, Slot] : SlotWrites)
     ToEveryPeer([&](rdma::NodeId Peer) {
       Fabric.postWrite(Self, Peer, Map.summarySlot(G, Self), Slot, DataKey,
                        Finish, rdma::Transport::LaneClient);
     });
   for (const Bytes &FB : FullFrames)
-    ToEveryPeer(
-        [&](rdma::NodeId Peer) { appendFreeOrdered(Peer, FB, Finish); });
+    AppendToEveryPeer(FB);
   if (!DropDeltas)
     for (const Bytes &DF : DeltaFrames)
-      ToEveryPeer(
-          [&](rdma::NodeId Peer) { appendFreeOrdered(Peer, DF, Finish); });
-  for (const Bytes &Rec : Records)
-    ToEveryPeer(
-        [&](rdma::NodeId Peer) { appendFreeOrdered(Peer, Rec, Finish); });
+      AppendToEveryPeer(DF);
+  if (!FreeRecord.empty())
+    AppendToEveryPeer(FreeRecord);
 }
 
 // -- Failure handling --------------------------------------------------------
@@ -1793,8 +1678,7 @@ void HambandNode::onPeerSuspected(rdma::NodeId Peer) {
         SummaryImage SImg;
         if (!decodeSummary(SumBytes.data(), SumBytes.size(), SImg))
           continue;
-        if (G < SummaryCache.size() &&
-            SImg.Seq > SummarySeqSeen[G][Peer]) {
+        if (G < Summaries.size() && SImg.Seq > Summaries[G][Peer].Seq) {
           installFullImage(G, Peer, SImg);
           ++NumRecovered;
           CtrRecovered->add();
@@ -1836,8 +1720,8 @@ void HambandNode::openEpoch() { EpochClosed = false; }
 bool HambandNode::reconfigQuiesced() const {
   if (!idle() || FlushesInFlight != 0)
     return false;
-  for (const auto &Q : FreeOutbound)
-    if (!Q.empty())
+  for (const auto &W : FreeWriters)
+    if (W && W->queued() != 0)
       return false;
   for (const auto &Q : LeaderSpeculative)
     if (!Q.empty())
@@ -1888,16 +1772,16 @@ TransferImage HambandNode::buildTransferImage(
   // donor's *outgoing* position there.
   Img.FreeSeqNext[Self] = BcastSeqOut;
   unsigned N = Fabric.numNodes();
-  Img.Summaries.resize(SummaryCache.size());
-  for (unsigned G = 0; G < SummaryCache.size(); ++G) {
+  Img.Summaries.resize(Summaries.size());
+  for (unsigned G = 0; G < Summaries.size(); ++G) {
     Img.Summaries[G].resize(N);
     for (rdma::NodeId Src = 0; Src < N; ++Src) {
-      const std::optional<Call> &C = SummaryCache[G][Src];
-      if (!C)
+      const SummaryRow &Row = Summaries[G][Src];
+      if (!Row.Image)
         continue;
       SummaryImage SImg;
-      SImg.Seq = SummarySeqSeen[G][Src];
-      SImg.Summary = *C;
+      SImg.Seq = Row.Seq;
+      SImg.Summary = *Row.Image;
       Img.Summaries[G][Src] = {SImg.Seq, encodeSummary(SImg)};
     }
   }
@@ -1912,7 +1796,7 @@ void HambandNode::absorbTransfer(const TransferImage &Img) {
   // Our entry in the transferred cursor table is the next broadcast the
   // cluster expects *from us* -- resume our outgoing numbering there.
   BcastSeqOut = std::max(BcastSeqOut, FreeSeqNext[Self]);
-  for (unsigned G = 0; G < SummaryCache.size() && G < Img.Summaries.size();
+  for (unsigned G = 0; G < Summaries.size() && G < Img.Summaries.size();
        ++G) {
     for (rdma::NodeId Src = 0;
          Src < Fabric.numNodes() && Src < Img.Summaries[G].size(); ++Src) {
@@ -1922,13 +1806,8 @@ void HambandNode::absorbTransfer(const TransferImage &Img) {
       SummaryImage SImg;
       if (!decodeSummary(Enc.data(), Enc.size(), SImg))
         continue;
-      SummaryCache[G][Src] = SImg.Summary;
-      SummarySeqSeen[G][Src] = Seq;
-      if (Src == Self) {
-        OwnSummary[G] = SImg.Summary;
-        OwnSummarySeq[G] = Seq;
-        DeltaShippedSeq[G] = Seq;
-      }
+      Summaries[G][Src].Image = std::move(SImg.Summary);
+      Summaries[G][Src].Seq = Seq;
     }
   }
   // Replay the donor's irreducible log in its apply order; applied counts

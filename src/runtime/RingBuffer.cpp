@@ -123,6 +123,39 @@ bool RingWriter::appendRecord(const Bytes &Payload,
   return true;
 }
 
+void RingWriter::appendOrQueue(const Bytes &Payload,
+                               rdma::CompletionFn &&OnComplete,
+                               sim::SimDuration RetryAfter) {
+  bool Waiting = !Queue.empty();
+  if (!Waiting && appendRecord(Payload, std::move(OnComplete)))
+    return;
+  Queue.push_back({Payload, std::move(OnComplete)});
+  if (Waiting)
+    drainQueue(RetryAfter); // The head may fit by now.
+  else
+    armRetry(RetryAfter);
+}
+
+void RingWriter::drainQueue(sim::SimDuration RetryAfter) {
+  while (!Queue.empty() &&
+         appendRecord(Queue.front().Payload,
+                      std::move(Queue.front().OnComplete)))
+    Queue.pop_front();
+  armRetry(RetryAfter);
+}
+
+void RingWriter::armRetry(sim::SimDuration RetryAfter) {
+  if (Queue.empty() || RetryArmed)
+    return;
+  // The retry runs on the writer's own timer, so the ring stays
+  // single-threaded.
+  RetryArmed = true;
+  Fabric.runAfterOrWrite(Writer, RetryAfter, [this, RetryAfter]() {
+    RetryArmed = false;
+    drainQueue(RetryAfter);
+  });
+}
+
 RingReader::RingReader(rdma::Transport &Fabric, rdma::NodeId Reader,
                        rdma::NodeId Writer, rdma::MemOffset DataOff,
                        rdma::MemOffset FeedbackOff, RingGeometry Geom,

@@ -585,8 +585,9 @@ TEST(DeltaGapHealing, DroppedDeltasBufferThenHealViaAntiEntropy) {
     EXPECT_EQ(C.node(P).applied(0, Add), 1u) << "node " << P;
   }
 
-  // 4th ship: DeltaFlushesSinceFull reaches the period, so a full image
-  // at version 4 ships, installs, and supersedes the buffered frame.
+  // 4th ship: the group's delta flushes since the last full image reach
+  // the period, so a full image at version 4 ships, installs, and
+  // supersedes the buffered frame.
   Submit(8, 4);
   ASSERT_TRUE(runUntil(Sim, [&] { return Done == 4 && C.fullyReplicated(); }));
   MethodId Read = T->methodId("read");

@@ -194,6 +194,45 @@ TEST(Reconfig, AddOneJoinerCatchesUpReducible) {
   EXPECT_GE(clusterCounter(C, "reconfig.installs"), 4u);
 }
 
+TEST(Reconfig, JoinerTakesTheDonorsOwnSummaryVersion) {
+  // With deltas on and no anti-entropy, a joiner only ever applies the
+  // donor's next delta frame if the transfer image gave it the donor's
+  // own summary version: a stale version parks the frame as a gap for
+  // good and the cluster never converges.
+  sim::Simulator Sim;
+  Counter T;
+  HambandConfig Cfg = reconfigConfig({1, 1, 1, 0});
+  Cfg.Delta.Enabled = true;
+  Cfg.Delta.AntiEntropyEvery = 0;
+  HambandCluster C(Sim, 4, T, {}, Cfg);
+  C.start();
+
+  unsigned Acks = 0;
+  for (unsigned I = 0; I < 10; ++I)
+    C.submit(0, Call(Counter::Add, {Value(I + 1)}, 0, 100 + I),
+             [&](bool Ok, Value) { Acks += Ok; });
+  ASSERT_TRUE(runUntil(Sim, [&] { return Acks == 10 && C.fullyReplicated(); }));
+
+  bool Done = false, Ok = false;
+  ASSERT_TRUE(C.reconfigure({1, 1, 1, 1}, [&](bool K, std::uint32_t) {
+    Done = true;
+    Ok = K;
+  }));
+  ASSERT_TRUE(runUntil(Sim, [&] { return Done; }));
+  ASSERT_TRUE(Ok);
+  EXPECT_EQ(C.node(3).summarySeqSeen(0, 0), C.node(0).summarySeqSeen(0, 0));
+  EXPECT_EQ(C.node(3).summarySeqSeen(0, 0), 10u);
+
+  bool Post = false;
+  C.submit(0, Call(Counter::Add, {1000}, 0, 200),
+           [&](bool K, Value) { Post = K; });
+  EXPECT_TRUE(runUntil(Sim, [&] {
+    return Post && C.fullyReplicated() && C.converged();
+  }));
+  EXPECT_EQ(C.node(3).bufferedDeltaFrames(0, 0), 0u);
+  EXPECT_EQ(C.node(3).applied(0, Counter::Add), 11u);
+}
+
 TEST(Reconfig, AddOneJoinerCatchesUpIrreducible) {
   // ORSet adds are conflict-free irreducible: they reach the joiner via
   // the donor's retained call log, replayed in apply order.

@@ -42,6 +42,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <thread>
 #include <tuple>
 
@@ -513,6 +514,111 @@ TEST_P(TransportConformance, RingSpanningRecordsSurviveWrapOnBothBackends) {
     EXPECT_FALSE(R.peek(Got)) << "phantom record after round " << Round;
   }
   EXPECT_EQ(Delivered, 48u);
+}
+
+/// Fills a ring of shape \p G from node 0 to node 1, then posts \p Posted
+/// more records through RingWriter::appendOrQueue, in bursts of three a
+/// few microseconds apart, while a polling reader drains the ring. The
+/// reader starts after the first burst, which therefore queues behind a
+/// full ring. The retry interval is long against the posting pace, so
+/// later bursts arrive while older records wait for their retry and the
+/// ring already has room again. Every record must arrive in post order,
+/// each posted record's completion must fire exactly once, and the
+/// writer's queue must end empty. Record sizes cycle through \p Sizes.
+void expectQueuedAppendsStayFifo(Transport &T, sim::Simulator *Sim,
+                                 const std::function<void()> &Settle,
+                                 RingGeometry G,
+                                 const std::vector<std::size_t> &Sizes,
+                                 unsigned Posted) {
+  const MemOffset DataOff = 4096;
+  const MemOffset FeedbackOff = 64;
+  RingWriter W(T, /*Writer=*/0, /*Reader=*/1, DataOff, FeedbackOff, G);
+  RingReader R(T, /*Reader=*/1, /*Writer=*/0, DataOff, FeedbackOff, G);
+  auto Record = [&](unsigned I) {
+    std::vector<std::uint8_t> P(Sizes[I % Sizes.size()]);
+    for (std::size_t B = 0; B < P.size(); ++B)
+      P[B] = static_cast<std::uint8_t>((I * 37 + B) & 0xFF);
+    std::memcpy(P.data(), &I, sizeof(I));
+    return P;
+  };
+
+  // Touched only by node 0 (writer side) or node 1 (reader side) until
+  // the run settles.
+  std::vector<std::vector<std::uint8_t>> Expected;
+  std::vector<std::atomic<unsigned>> Completions(Posted);
+  std::atomic<std::size_t> Total{0}; // Known once the ring is full.
+  std::size_t MaxQueued = 0;
+  unsigned Sent = 0;
+  std::function<void()> Produce = [&] {
+    for (unsigned K = 0; K < 3 && Sent < Posted; ++K) {
+      unsigned I = Sent++;
+      Expected.push_back(Record(static_cast<unsigned>(Expected.size())));
+      W.appendOrQueue(
+          Expected.back(),
+          [&Completions, I](WcStatus) { Completions[I].fetch_add(1); },
+          sim::micros(40));
+      MaxQueued = std::max(MaxQueued, W.queued());
+    }
+    if (Sent < Posted)
+      T.runAfter(0, sim::micros(3), [&Produce] { Produce(); });
+  };
+
+  std::vector<std::vector<std::uint8_t>> Got;
+  std::atomic<bool> ReaderDone{false};
+  std::function<void()> Poll = [&] {
+    std::vector<std::uint8_t> Buf;
+    while (R.peek(Buf)) {
+      Got.push_back(Buf);
+      R.consume();
+    }
+    if (Total == 0 || Got.size() < Total)
+      T.runAfterOrWrite(1, sim::micros(2), [&Poll] { Poll(); });
+    else
+      ReaderDone = true;
+  };
+  T.callOn(0, [&] {
+    while (W.appendRecord(Record(static_cast<unsigned>(Expected.size()))))
+      Expected.push_back(Record(static_cast<unsigned>(Expected.size())));
+    Total = Expected.size() + Posted;
+    Produce();
+    T.callOn(1, [&Poll] { Poll(); });
+  });
+  if (Sim) {
+    Sim->run();
+  } else {
+    EXPECT_TRUE(waitFor(ReaderDone, std::chrono::milliseconds(20000)));
+    Settle();
+  }
+  // A drained writer may still hold one armed retry timer; stop the
+  // workers before the ring ends go out of scope.
+  T.shutdown();
+  ASSERT_TRUE(ReaderDone);
+  EXPECT_GE(Expected.size(), Posted + 2u) << "the ring never filled";
+  EXPECT_GE(MaxQueued, 2u) << "no record ever queued behind another";
+  EXPECT_EQ(Got, Expected);
+  for (unsigned I = 0; I < Posted; ++I)
+    EXPECT_EQ(Completions[I].load(), 1u) << "record " << I;
+  EXPECT_EQ(W.queued(), 0u);
+}
+
+// RingWriter::appendOrQueue on a full ring stalls the stream without
+// reordering it, with an F-ring's shape (records spanning up to five
+// cells, so wraps insert padding) ...
+TEST_P(TransportConformance, QueuedFreeRingAppendsStayFifoWhenFull) {
+  RingGeometry G;
+  G.NumCells = 16;
+  G.CellSize = 48;
+  expectQueuedAppendsStayFifo(*T, Sim.get(), [this] { settle(); }, G,
+                              {5, 60, 130, 20, 200}, 24);
+}
+
+// ... and with a mailbox's (one small record per cell).
+TEST_P(TransportConformance, QueuedMailboxAppendsStayFifoWhenFull) {
+  RingGeometry G;
+  G.NumCells = 8;
+  G.CellSize = 64;
+  expectQueuedAppendsStayFifo(*T, Sim.get(), [this] { settle(); }, G,
+                              {30, 12, 45}, 20);
 }
 
 INSTANTIATE_TEST_SUITE_P(
